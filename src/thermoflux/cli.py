@@ -9,7 +9,8 @@ precondition); 3 numerical failure (bracket/quadrature/degeneracy) with a
 JSON diagnostic payload.
 
 A plain-text config file (key=value per line, '#' comments) can supply
-defaults; explicit flags win.  THERMOFLUX_THREADS caps parallelism.
+defaults; explicit flags win.  THERMOFLUX_THREADS caps the worker threads
+of the Monte-Carlo sampler only; it has no effect on the other numerics.
 """
 
 from __future__ import annotations
@@ -247,6 +248,8 @@ def cmd_homotopy(args):
     n = _resolve(args, "n")
     variant = _resolve(args, "variant", "remark1", str)
     num_t = int(_resolve(args, "num_t", 33, int))
+    if num_t < 1:
+        raise ConfigError(f"--num-t must be at least 1, got {num_t}")
     t_max = _resolve(args, "t_max", math.pi / 2.0)
     order = int(_resolve(args, "order", 4, int))
     _, path = _build_path(a, beta, n, variant)

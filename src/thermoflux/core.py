@@ -88,6 +88,10 @@ class ManifoldPoint:
     def from_beta(cls, beta: float, ens: OscillatorEnsemble) -> "ManifoldPoint":
         _check_convergent(beta, ens.a)
         epsilon = ens.a * mean_occupation(beta * ens.a)
+        if epsilon == 0.0:
+            raise DomainError(
+                f"specific energy underflows to 0 at beta*a = {beta * ens.a!r}"
+            )
         lam = 1.0 / (epsilon * (epsilon + ens.a))
         return cls(epsilon=epsilon, beta=beta, lam=lam)
 

@@ -137,19 +137,51 @@ def solve_symmetric(a: float, beta: float, n: float) -> DualPair:
     )
 
 
+def _log_sinhc(u: float) -> float:
+    """log(sinh(u)/u) for u > 0, finite where sinh(u) itself overflows."""
+    if u > 20.0:
+        # sinh(u) = exp(u)/2 to double precision (exp(-2u) < 1e-17)
+        return u - math.log(2.0 * u)
+    if u < 1.0:
+        # sinh(u)/u - 1 = sum_k u^(2k)/(2k+1)!, summed as a series because
+        # the difference sinh(u) - u keeps only ~3e-16/u^2 relative accuracy
+        u2 = u * u
+        term, total = 1.0, 0.0
+        for k in range(1, 10):
+            term *= u2 / ((2 * k) * (2 * k + 1))
+            total += term
+        return math.log1p(total)
+    # log1p form keeps precision when sinh(u)/u is close to 1
+    return math.log1p((math.sinh(u) - u) / u)
+
+
 def solve_remark1(a: float, beta: float, n: float) -> DualPair:
-    """Closed-form all-positive dual with the dual mean energy pinned to beta."""
+    """Closed-form all-positive dual with the dual mean energy pinned to beta.
+
+    beta'*a' = y = 2 log(sinh(u)/u) with u = beta*a/2, and a' =
+    beta*expm1(y).  y is finite for every input, but a' is about
+    beta^3 a^2/12 for small beta*a and beta*exp(beta*a)/(beta*a)^2 for large
+    beta*a; where it under- or overflows a double, DomainError is raised.
+    """
     if not (a > 0 and beta > 0):
         raise DomainError("remark1 duality solve requires a > 0 and beta > 0")
-    u = beta * a / 2.0
-    # log1p form keeps precision when sinh(u)/u is close to 1
-    y = 2.0 * math.log1p((math.sinh(u) - u) / u)
-    a_dual = beta * math.expm1(y)
+    y = 2.0 * _log_sinhc(beta * a / 2.0)
+    try:
+        a_dual = beta * math.expm1(y)
+    except OverflowError:
+        a_dual = math.inf
+    if not 0.0 < a_dual < math.inf:
+        raise DomainError(
+            f"remark1 dual quantum {a_dual!r} is not representable at "
+            f"beta*a = {beta * a!r}"
+        )
     beta_dual = y / a_dual
     eps = a * mean_occupation(beta * a)
     eps_dual = a_dual * mean_occupation(beta_dual * a_dual)
     r1 = abs(eps_dual - beta)
-    r2 = abs(math.exp(beta * a + y) * (beta * eps) ** 2 - 1.0)
+    # exp(beta*a + y) * (beta*eps)^2 - 1, summed in the exponent so that
+    # neither factor overflows or underflows
+    r2 = abs(math.expm1(beta * a + y + 2.0 * math.log(beta * eps)))
     return DualPair(
         a=a,
         beta=beta,
@@ -180,8 +212,10 @@ def dual_fluctuation_variances(pair: DualPair):
         energy_stats(ThermoState(pair.beta), pair.source).variance
         / pair.n**2
     )
-    nbar_dual = mean_occupation_signed(pair.beta_dual * pair.a_dual)
-    v_dual = pair.a_dual**2 * nbar_dual * (nbar_dual + 1.0) / pair.n_dual
+    # a'^2 nbar' (nbar' + 1) = eps' (eps' + a'), which stays finite where
+    # a'^2 would overflow
+    eps_dual = pair.a_dual * mean_occupation_signed(pair.beta_dual * pair.a_dual)
+    v_dual = eps_dual * (eps_dual + pair.a_dual) / pair.n_dual
     return v, v_dual
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -16,6 +18,16 @@ def gauss_hermite_prob(n: int):
     return x * np.sqrt(2.0), w / np.sqrt(np.pi)
 
 
+@functools.cache
+def _unit_laguerre(n: int):
+    """Gauss-Laguerre nodes/weights for exp(-t) on [0, inf), computed once
+    per n (an eigenvalue solve) and shared read-only by every variance."""
+    t, w = np.polynomial.laguerre.laggauss(n)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def radial_rule(variance: float, n: int):
     """Gauss rule for the radial weight |r| * exp(-variance * r^2 / 2) on R.
 
@@ -26,11 +38,12 @@ def radial_rule(variance: float, n: int):
         int |r| e^{-v r^2/2} f(r) dr  ~=  sum_i w_i * (f(r_i) + f(-r_i)).
 
     For the oscillatory integrands used here, f(+/- sqrt(2t/v)) is entire
-    in t, so convergence is spectral.
+    in t, so convergence is spectral.  The unit rule is cached per n;
+    each call only rescales it.
     """
     if not variance > 0:
         raise ValueError("radial rule requires a positive variance")
-    t, w = np.polynomial.laguerre.laggauss(n)
+    t, w = _unit_laguerre(n)
     return np.sqrt(2.0 * t / variance), w / variance
 
 

@@ -15,12 +15,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import occupation_energies
 from ._parallel import map_slots
 from .core import OscillatorEnsemble, ThermoState
 from .errors import DivergentPartition, DomainError, InsufficientSamples
 
 DEFAULT_CHUNK = 16384
+
+
+def occupation_energies(uniforms, log_q):
+    """Total occupation numbers per sweep from a uniform stream.
+
+    uniforms has shape (sweeps, n_oscillators) with entries in (0, 1];
+    each entry maps to a geometric occupation floor(log(u)/log(q)).
+    The result is an exact integer-valued float array.
+    """
+    occ = np.floor(np.log(uniforms) / log_q)
+    return occ.sum(axis=1)
 
 
 @dataclass(frozen=True)

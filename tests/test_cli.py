@@ -162,6 +162,31 @@ def test_divergent_config_exit_2(capsys):
     assert "beta*a" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconstruct", "--n-r", "0"],
+        ["reconstruct", "--n-r", "-3"],
+        ["reconstruct", "--grid-points", "1"],
+        ["reconstruct", "--grid-points", "0"],
+        ["homotopy", "--num-t", "0"],
+        ["homotopy", "--num-t", "-2"],
+    ],
+)
+def test_bad_sizes_exit_2(argv, capsys):
+    code, out, err = _run(argv + ["--a", "1", "--beta", "1", "--N", "10"], capsys)
+    assert code == 2
+    assert err.startswith("config error:") and out == ""
+
+
+@pytest.mark.parametrize("command", ["stats", "dual"])
+def test_large_beta_typed_error(command, capsys):
+    # epsilon underflows to 0 and the remark1 dual quantum overflows
+    code, _, err = _run([command, "--a", "1", "--beta", "800", "--N", "10"], capsys)
+    assert code in (2, 3)
+    assert "Traceback" not in err
+
+
 def test_numerical_failure_exit_3(capsys):
     # homotopy table through the degenerate angle
     code, out, _ = _run(

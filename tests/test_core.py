@@ -65,6 +65,9 @@ def test_energy_stats_deep_quantum_regime_is_stable():
     es = energy_stats(ThermoState(beta=800.0), ENS1)
     assert es.mean == 0.0
     assert es.variance == 0.0
+    # the manifold point needs eps > 0 for its curvature 1/(eps(eps + a))
+    with pytest.raises(DomainError):
+        ManifoldPoint.from_beta(800.0, ENS1)
 
 
 def test_entropy_value_and_limits():

@@ -131,6 +131,20 @@ def test_dual_variance_positive_even_when_formal():
     assert v * v_dual * pair.n**2 == pytest.approx(1.0, abs=1e-9)
 
 
+def test_remark1_extreme_coupling():
+    # beta*a = 400: sinh and exp(beta*a + y) overflow on the direct route
+    pair = solve_remark1(1.0, 400.0, 10.0)
+    assert math.isfinite(pair.a_dual) and pair.beta_dual > 0
+    assert max(pair.residuals) < 1e-10
+    assert verify_duality(pair).variance_product_scaled == pytest.approx(1.0, abs=1e-9)
+    # beta*a = 1e-8: y ~ (beta*a)^2/12, which sinh(u) - u rounds to 0
+    pair = solve_remark1(1.0, 1e-8, 10.0)
+    assert pair.beta_dual * pair.a_dual == pytest.approx(1e-16 / 12.0, rel=1e-12)
+    for beta in (800.0, 1e-120):
+        with pytest.raises(DomainError):
+            solve_remark1(1.0, beta, 10.0)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         solve_symmetric(-1.0, 1.0, 10.0)

@@ -1,73 +1,4 @@
-import math
-import os
-import subprocess
-import sys
-
-import numpy as np
-import pytest
-
-from thermoflux._kernels import BACKEND, get_backends
 from thermoflux._parallel import map_slots, thread_count
-
-
-def _random_angle_inputs(rng, n_r=64, nx=17, ny=19):
-    r = np.concatenate([rng.uniform(0.1, 40.0, n_r), -rng.uniform(0.1, 40.0, n_r)])
-    coeff = rng.normal(size=2 * n_r) + 1j * rng.normal(size=2 * n_r)
-    t = rng.uniform(0.0, math.pi)
-    x = np.linspace(-0.7, 0.7, nx)
-    y = np.linspace(-0.4, 0.4, ny)
-    return r, coeff, math.cos(t), math.sin(t), x, y
-
-
-def test_backends_available():
-    backends = get_backends()
-    assert "python" in backends
-    assert BACKEND in backends
-
-
-@pytest.mark.skipif("native" not in get_backends(), reason="extension not built")
-def test_angle_term_backend_parity():
-    backends = get_backends()
-    rng = np.random.default_rng(31)
-    for _ in range(5):
-        args = _random_angle_inputs(rng)
-        out_py = backends["python"].angle_term(*args)
-        out_nat = backends["native"].angle_term(*args)
-        scale = np.abs(out_py).max()
-        assert np.abs(out_nat - out_py).max() < 1e-12 * max(scale, 1.0)
-
-
-@pytest.mark.skipif("native" not in get_backends(), reason="extension not built")
-def test_occupation_energies_backend_parity():
-    backends = get_backends()
-    rng = np.random.default_rng(5)
-    u = 1.0 - rng.random((2000, 37))
-    log_q = -0.8
-    e_py = backends["python"].occupation_energies(u, log_q)
-    e_nat = backends["native"].occupation_energies(u, log_q)
-    assert np.array_equal(e_py, e_nat)  # both are exact integer counts
-
-
-def test_occupation_energies_values():
-    impl = get_backends()["python"]
-    u = np.array([[0.5, 0.9], [0.01, 0.999]])
-    log_q = math.log(0.5)
-    # floor(log(u)/log(q)): 0.5 -> 1, 0.9 -> 0, 0.01 -> 6, 0.999 -> 0
-    assert np.array_equal(impl.occupation_energies(u, log_q), [1.0, 6.0])
-
-
-def test_forced_backend_subprocess():
-    code = "import thermoflux._kernels as k; print(k.BACKEND)"
-    env = dict(os.environ, THERMOFLUX_KERNELS="python")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.stdout.strip() == "python"
-    env = dict(os.environ, THERMOFLUX_KERNELS="nonsense")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode != 0
 
 
 def test_thread_count_env(monkeypatch):

@@ -12,6 +12,7 @@ from thermoflux.errors import DivergentPartition, DomainError, InsufficientSampl
 from thermoflux.sampler import (
     empirical_cumulants,
     k_statistics,
+    occupation_energies,
     sample_energies,
 )
 
@@ -54,6 +55,13 @@ def test_single_oscillator_mean():
     target = 1.0 / (math.e - 1.0)
     se = math.sqrt(math.e / (math.e - 1.0) ** 2 / 200_000)
     assert abs(run.energies.mean() - target) < 5 * se
+
+
+def test_occupation_energies_values():
+    u = np.array([[0.5, 0.9], [0.01, 0.999]])
+    log_q = math.log(0.5)
+    # floor(log(u)/log(q)): 0.5 -> 1, 0.9 -> 0, 0.01 -> 6, 0.999 -> 0
+    assert np.array_equal(occupation_energies(u, log_q), [1.0, 6.0])
 
 
 def test_k_statistics_constant_sequence():

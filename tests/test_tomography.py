@@ -172,6 +172,45 @@ def test_reconstruct_symmetry_even_family():
     assert np.allclose(grid.values, grid.values[::-1, ::-1], atol=1e-12)
 
 
+def _brute_force_reconstruct(toms, x, y, n_r):
+    """Reference backprojection: the full per-angle phase array
+    exp(i r (x cos t + y sin t)) summed over every signed radial node, one
+    angle at a time, with the Gauss-Laguerre rule rebuilt per angle."""
+    total = np.zeros((len(x), len(y)), dtype=complex)
+    for tom in toms:
+        t_nodes, t_weights = np.polynomial.laguerre.laggauss(n_r)
+        r = np.sqrt(2.0 * t_nodes / tom.variance)
+        w = t_weights / tom.variance
+        sv = math.sqrt(tom.variance)
+        poly_neg = np.ones(n_r, dtype=complex)
+        poly_pos = np.ones(n_r, dtype=complex)
+        for m in range(3, tom.n0 + 1):
+            poly_neg = poly_neg + tom.gamma[m] * (-1j * r * sv) ** m
+            poly_pos = poly_pos + tom.gamma[m] * (1j * r * sv) ** m
+        r_signed = np.concatenate([r, -r])
+        coeff = np.concatenate([w * poly_neg, w * poly_pos])
+        u = math.cos(tom.angle) * x[:, None] + math.sin(tom.angle) * y[None, :]
+        phase = np.exp(1j * np.multiply.outer(r_signed, u.ravel()))
+        total += (coeff @ phase).reshape(len(x), len(y))
+    return (total * (math.pi / len(toms)) / (4.0 * math.pi**2)).real
+
+
+@pytest.mark.parametrize("family", ["gaussian", "homotopy"])
+def test_reconstruct_matches_brute_force(family):
+    # 37 angles: the last angle block is partial
+    if family == "gaussian":
+        toms = gaussian_tomogram_family(0.02, 0.005, 37)
+    else:
+        path = HomotopyPath.from_dual_pair(solve_remark1(1.0, 1.0, 10.0))
+        toms = homotopy_tomograms(path, 37, 4)
+    x, y = make_grid(
+        math.sqrt(toms[0].variance), math.sqrt(toms[18].variance), (17, 23), 6.0
+    )
+    ref = _brute_force_reconstruct(toms, x, y, 40)
+    grid = reconstruct(toms, 0.2, x, y, n_r=40)
+    assert np.abs(grid.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_reconstruct_preconditions():
     v, vp = 0.02, 0.005
     x, y = make_grid(math.sqrt(v), math.sqrt(vp), (33, 33), 6.0)
@@ -180,6 +219,10 @@ def test_reconstruct_preconditions():
     with pytest.raises(DomainError):
         reconstruct(gaussian_tomogram_family(v, vp, 32), -1.0, x, y)
     toms = gaussian_tomogram_family(v, vp, 32)
+    with pytest.raises(DomainError):
+        reconstruct(toms, 0.02, x, y, n_r=0)
+    with pytest.raises(DomainError):
+        reconstruct(toms, 0.02, x[:1], y)
     toms = toms[1:] + toms[:1]  # angles no longer increase from 0
     with pytest.raises(DomainError):
         reconstruct(toms, 0.02, x, y)
