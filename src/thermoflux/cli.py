@@ -9,8 +9,7 @@ precondition); 3 numerical failure (bracket/quadrature/degeneracy) with a
 JSON diagnostic payload.
 
 A plain-text config file (key=value per line, '#' comments) can supply
-defaults; explicit flags win.  THERMOFLUX_THREADS caps the worker threads
-of the Monte-Carlo sampler only; it has no effect on the other numerics.
+defaults; explicit flags win.
 """
 
 from __future__ import annotations
@@ -198,17 +197,20 @@ def cmd_cumulants(args):
     return 0
 
 
+def _solve_dual(a, beta, n, variant):
+    if variant == "symmetric":
+        return solve_symmetric(a, beta, n)
+    if variant == "remark1":
+        return solve_remark1(a, beta, n)
+    raise ConfigError(f"variant must be 'symmetric' or 'remark1', got {variant!r}")
+
+
 def cmd_dual(args):
     a = _resolve(args, "a")
     beta = _resolve(args, "beta")
     n = _resolve(args, "n")
     variant = _resolve(args, "variant", "remark1", str)
-    if variant == "symmetric":
-        pair = solve_symmetric(a, beta, n)
-    elif variant == "remark1":
-        pair = solve_remark1(a, beta, n)
-    else:
-        raise ConfigError(f"variant must be 'symmetric' or 'remark1', got {variant!r}")
+    pair = _solve_dual(a, beta, n, variant)
     report = verify_duality(pair)
     results = {
         "a_dual": pair.a_dual,
@@ -234,14 +236,6 @@ def cmd_dual(args):
     return 0
 
 
-def _build_path(a, beta, n, variant):
-    if variant == "symmetric":
-        pair = solve_symmetric(a, beta, n)
-    else:
-        pair = solve_remark1(a, beta, n)
-    return pair, HomotopyPath.from_dual_pair(pair)
-
-
 def cmd_homotopy(args):
     a = _resolve(args, "a")
     beta = _resolve(args, "beta")
@@ -252,7 +246,7 @@ def cmd_homotopy(args):
         raise ConfigError(f"--num-t must be at least 1, got {num_t}")
     t_max = _resolve(args, "t_max", math.pi / 2.0)
     order = int(_resolve(args, "order", 4, int))
-    _, path = _build_path(a, beta, n, variant)
+    path = HomotopyPath.from_dual_pair(_solve_dual(a, beta, n, variant))
     rows = []
     for t in np.linspace(0.0, t_max, num_t):
         point = path_params(path, float(t))
@@ -291,7 +285,7 @@ def cmd_tomogram(args):
     t = _resolve(args, "t", 0.0)
     n0 = int(_resolve(args, "n0", 4, int))
     num_z = int(_resolve(args, "num_z", 201, int))
-    _, path = _build_path(a, beta, n, variant)
+    path = HomotopyPath.from_dual_pair(_solve_dual(a, beta, n, variant))
     kv = path_cumulants(path, t, max(n0, 2))
     tom = build_tomogram(kv, n0, angle=t)
     z = np.linspace(-6.0, 6.0, num_z) * math.sqrt(tom.variance)
@@ -340,7 +334,7 @@ def cmd_reconstruct(args):
         v, vp = 1.0 / (n * alpha.lam), alpha.lam / n
         toms = gaussian_tomogram_family(v, vp, n_theta)
     elif family == "homotopy":
-        _, path = _build_path(a, beta, n, variant)
+        path = HomotopyPath.from_dual_pair(_solve_dual(a, beta, n, variant))
         toms = homotopy_tomograms(path, n_theta, n0, surface=surface)
         v, vp = toms[0].variance, toms[n_theta // 2].variance
     else:

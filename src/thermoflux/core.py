@@ -93,6 +93,11 @@ class ManifoldPoint:
                 f"specific energy underflows to 0 at beta*a = {beta * ens.a!r}"
             )
         lam = 1.0 / (epsilon * (epsilon + ens.a))
+        if not 0.0 < lam < math.inf:
+            raise DomainError(
+                f"fluctuation curvature {lam!r} is not representable at "
+                f"beta*a = {beta * ens.a!r}"
+            )
         return cls(epsilon=epsilon, beta=beta, lam=lam)
 
 
@@ -131,6 +136,15 @@ def mean_occupation(x: float) -> float:
     x > ~745 instead of overflowing.
     """
     return math.exp(-x) / (-math.expm1(-x))
+
+
+def mean_occupation_signed(x: float) -> float:
+    """Formal extension of the mean occupation 1/(e^x - 1) to x < 0."""
+    if x > 0:
+        return mean_occupation(x)
+    if x == 0:
+        raise DomainError("mean occupation undefined at beta*a = 0")
+    return 1.0 / math.expm1(x)
 
 
 def log_partition(state: ThermoState, ens: OscillatorEnsemble) -> float:

@@ -16,14 +16,15 @@ order cap MAX_ORDER is a documented contract, not a numeric limitation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import OscillatorEnsemble, ThermoState, log_partition, mean_occupation
-from .errors import DivergentPartition, OrderTooLarge
+from .core import OscillatorEnsemble, ThermoState, mean_occupation_signed
+from .errors import DivergentPartition, DomainError, OrderTooLarge
 
 MAX_ORDER = 20
 
@@ -61,8 +62,9 @@ class CumulantVector:
         return float(self.values[n - 1])
 
 
+@functools.cache
 def coefficient_table(n_max: int) -> CoefficientTable:
-    """Build c(n, m) for n <= n_max by the two-term recurrence."""
+    """Build c(n, m) for n <= n_max by the two-term recurrence (cached)."""
     _check_order(n_max)
     rows = [(1,)]
     for n in range(1, n_max):
@@ -154,6 +156,40 @@ def power_sum_check(m: int, n: int) -> PowerSumCheck:
     return PowerSumCheck(direct=direct, bernoulli_form=int(bern), c_form=c_form)
 
 
+def oscillator_cumulants(a: float, x: float, order: int) -> np.ndarray:
+    """Cumulants kappa_1..kappa_order of one oscillator with quantum a at
+    x = beta*a of either sign:
+
+        kappa_k = sum_{m=1}^{k} c(k, m) * eps^m * a^(k-m),   eps = a*nbar(x).
+
+    For x < 0 the occupation nbar = 1/(e^x - 1) is continued formally, as
+    the symmetric dual and the formal points of the homotopy require.  The
+    terms are eps^m * a^(k-m), not the equal a^k * nbar^m, because at large
+    |beta*a| a^k can overflow while nbar underflows, although every term and
+    the cumulant are representable.  Raises DomainError where a cumulant
+    overflows a double.
+    """
+    rows = coefficient_table(order).rows
+    eps = a * mean_occupation_signed(x)
+    try:
+        eps_pow = [eps**m for m in range(1, order + 1)]  # eps^m for m = 1..order
+        a_pow = [a**j for j in range(order)]  # a^j for j = 0..order-1
+    except OverflowError:  # a power alone exceeds the largest double
+        eps_pow = a_pow = [math.inf] * order
+    values = np.array(
+        [
+            sum([c * e * q for c, e, q in zip(row, eps_pow, a_pow[n - 1 :: -1])])
+            for n, row in enumerate(rows, start=1)
+        ]
+    )
+    if not np.all(np.isfinite(values)):
+        raise DomainError(
+            f"oscillator cumulants up to order {order} overflow a double at "
+            f"a = {a!r}, beta*a = {x!r}"
+        )
+    return values
+
+
 def energy_cumulants(
     state: ThermoState, ens: OscillatorEnsemble, n_max: int
 ) -> CumulantVector:
@@ -161,13 +197,7 @@ def energy_cumulants(
     _check_order(n_max)
     if not state.beta * ens.a > 0:
         raise DivergentPartition("cumulants require beta*a > 0")
-    table = coefficient_table(n_max)
-    nbar = mean_occupation(state.beta * ens.a)
-    powers = np.array([nbar**m for m in range(1, n_max + 1)])
-    values = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        coeffs = np.array(table.rows[n - 1], dtype=float)
-        values[n - 1] = ens.n * ens.a**n * float(coeffs @ powers[:n])
+    values = ens.n * oscillator_cumulants(ens.a, state.beta * ens.a, n_max)
     return CumulantVector(order=n_max, values=values)
 
 

@@ -17,11 +17,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import OscillatorEnsemble, ThermoState, energy_stats, mean_occupation
+from .core import (
+    OscillatorEnsemble,
+    ThermoState,
+    energy_stats,
+    mean_occupation,
+    mean_occupation_signed,
+)
 from .errors import DomainError, NoBracket
 
 _NEWTON_TOL = 1e-13
 _BISECT_TOL = 1e-8
+# below this z, exp(-z) squared (phi_prime) or exp(-z) itself (phi, from
+# z = -709.8) overflows; both are then evaluated multiplied through by exp(z)
+_EXP_SAFE = -300.0
 
 
 def phi(z: float) -> float:
@@ -29,6 +38,8 @@ def phi(z: float) -> float:
     if abs(z) < 1e-8:
         # removable singularity: z/(1-e^-z) = 1 + z/2 + z^2/12 + O(z^4)
         return 1.0 + z / 2.0 + z * z / 12.0
+    if z < _EXP_SAFE:
+        return z * math.exp(z) / math.expm1(z)
     return z / (-math.expm1(-z))
 
 
@@ -36,6 +47,9 @@ def phi_prime(z: float) -> float:
     """Derivative of phi, used by the Newton polish."""
     if abs(z) < 1e-6:
         return 0.5 + z / 6.0 - z**3 / 180.0
+    if z < _EXP_SAFE:
+        em = math.expm1(z)  # e^z - 1, the form above times e^(2z)
+        return math.exp(z) * (em - z) / (em * em)
     em = -math.expm1(-z)  # 1 - e^-z
     return (em - z * math.exp(-z)) / (em * em)
 
@@ -103,17 +117,10 @@ def _system_residuals(a, beta, a_dual, beta_dual):
     eps = a * mean_occupation(beta * a)
     eps_dual = a_dual * mean_occupation_signed(beta_dual * a_dual)
     r1 = eps * eps_dual - beta_dual * beta
-    r2 = (beta_dual * beta) ** 2 * math.exp(beta * a + beta_dual * a_dual) - 1.0
+    # (beta'*beta)^2 * exp(beta*a + beta'*a') - 1, summed in the exponent so
+    # that neither factor overflows or underflows
+    r2 = math.expm1(beta * a + beta_dual * a_dual + 2.0 * math.log(beta_dual * beta))
     return abs(r1), abs(r2)
-
-
-def mean_occupation_signed(x: float) -> float:
-    """Formal extension of the mean occupation 1/(e^x - 1) to x < 0."""
-    if x > 0:
-        return mean_occupation(x)
-    if x == 0:
-        raise DomainError("mean occupation undefined at beta*a = 0")
-    return 1.0 / math.expm1(x)
 
 
 def solve_symmetric(a: float, beta: float, n: float) -> DualPair:
@@ -122,7 +129,12 @@ def solve_symmetric(a: float, beta: float, n: float) -> DualPair:
         raise DomainError("symmetric duality solve requires a > 0 and beta > 0")
     y = _solve_phi_equals(1.0 / phi(beta * a))
     beta_dual = math.exp(-(beta * a + y) / 2.0) / beta
-    a_dual = y / beta_dual
+    a_dual = y / beta_dual if beta_dual > 0 else -math.inf
+    if not (0.0 < beta_dual < math.inf and -math.inf < a_dual < 0.0):
+        raise DomainError(
+            f"symmetric dual (beta' = {beta_dual!r}, a' = {a_dual!r}) is not "
+            f"representable at beta*a = {beta * a!r}"
+        )
     res = _system_residuals(a, beta, a_dual, beta_dual)
     return DualPair(
         a=a,
@@ -206,7 +218,8 @@ def dual_fluctuation_variances(pair: DualPair):
     """Specific-energy fluctuation variances (v, v') of source and dual.
 
     Evaluated through the same closed forms for both; for a formal dual
-    (beta'*a' < 0) the expressions remain finite.
+    (beta'*a' < 0) the expressions remain finite.  Raises DomainError where
+    either variance underflows to 0 or overflows a double.
     """
     v = (
         energy_stats(ThermoState(pair.beta), pair.source).variance
@@ -216,6 +229,11 @@ def dual_fluctuation_variances(pair: DualPair):
     # a'^2 would overflow
     eps_dual = pair.a_dual * mean_occupation_signed(pair.beta_dual * pair.a_dual)
     v_dual = eps_dual * (eps_dual + pair.a_dual) / pair.n_dual
+    if not (0.0 < v < math.inf and 0.0 < v_dual < math.inf):
+        raise DomainError(
+            f"fluctuation variances ({v!r}, {v_dual!r}) are not representable "
+            f"at beta*a = {pair.beta * pair.a!r}"
+        )
     return v, v_dual
 
 

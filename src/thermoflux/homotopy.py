@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ThermoState, energy_stats
-from .cumulants import CumulantVector, coefficient_table
-from .duality import DualPair, dual_fluctuation_variances, mean_occupation_signed
+from .core import ThermoState, energy_stats, mean_occupation_signed
+from .cumulants import CumulantVector, oscillator_cumulants
+from .duality import DualPair, dual_fluctuation_variances
 from .errors import DegeneratePoint, DomainError, OrderTooLarge
 
 
@@ -100,7 +100,7 @@ def path_params(path: HomotopyPath, t: float) -> PathPoint:
     nv_t = path.scaled_variance_at(t)
     if not mean_t > 0:
         raise DegeneratePoint(f"interpolated mean {mean_t!r} <= 0 at t={t!r}")
-    ratio = nv_t / (mean_t * mean_t)
+    ratio = nv_t / mean_t / mean_t  # mean_t^2 alone can underflow
     if ratio == 1.0:
         raise DegeneratePoint(f"n*v_t equals mean_t^2 at t={t!r} (a_t = 0)")
     x = math.log(ratio)  # beta_t * a_t
@@ -125,25 +125,8 @@ def path_cumulants(path: HomotopyPath, t: float, order: int) -> CumulantVector:
     if not 1 <= order <= 8:
         raise OrderTooLarge(f"path cumulant order must be in 1..8, got {order}")
     point = path_params(path, t)
-    return _formal_fluctuation_cumulants(point.a, point.beta, path.n, order)
-
-
-def _formal_fluctuation_cumulants(a, beta, n, order) -> CumulantVector:
-    """Fluctuation cumulants from the coefficient table, valid for either
-    sign of beta*a (the occupation 1/(exp(beta*a) - 1) extends formally)."""
-    x = beta * a
-    if x == 0:
-        raise DegeneratePoint("beta*a = 0 has no cumulant expansion")
-    if x > 0:
-        nbar = math.exp(-x) / (-math.expm1(-x))
-    else:
-        nbar = 1.0 / math.expm1(x)
-    table = coefficient_table(order)
-    values = np.empty(order)
-    powers = np.array([nbar**m for m in range(1, order + 1)])
-    for k in range(1, order + 1):
-        coeffs = np.array(table.rows[k - 1], dtype=float)
-        values[k - 1] = (a / n) ** k * float(coeffs @ powers[:k]) * n
+    scale = path.n ** (1.0 - np.arange(1, order + 1))  # n^(1-k)
+    values = oscillator_cumulants(point.a, point.beta * point.a, order) * scale
     values[0] = 0.0
     return CumulantVector(order=order, values=values)
 

@@ -3,23 +3,23 @@
 Each oscillator occupation is drawn by inversion as a geometric variable,
 n = floor(log(u)/log(q)) with q = exp(-beta*a) and u uniform on (0, 1], so
 any PRNG backend reproduces the run given the same uniform stream.  Sweeps
-are partitioned into fixed-size chunks seeded from spawned child seeds;
-the chunk layout depends only on (seed, sweeps, chunk_size), never on the
-thread count, so results are identical for any parallelism.
+are partitioned into chunks of _CHUNK sweeps, each drawn from its own child
+of the spawned seed sequence and evaluated in order.  The chunk length is
+part of the stream: together with (seed, sweeps) it fixes every energy, so
+changing it changes the samples.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import map_slots
 from .core import OscillatorEnsemble, ThermoState
 from .errors import DivergentPartition, DomainError, InsufficientSamples
 
-DEFAULT_CHUNK = 16384
+# Sweeps per chunk; each chunk has its own child seed, so this fixes the stream.
+_CHUNK = 16384
 
 
 def occupation_energies(uniforms, log_q):
@@ -41,7 +41,6 @@ class SampleRun:
     sweeps: int
     ens: OscillatorEnsemble
     state: ThermoState
-    chunk_size: int
     energies: np.ndarray = field(repr=False)
 
     def to_csv(self, path) -> None:
@@ -56,7 +55,6 @@ def sample_energies(
     state: ThermoState,
     sweeps: int,
     seed: int,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> SampleRun:
     """Draw `sweeps` i.i.d. total energies of the ensemble."""
     if not state.beta * ens.a > 0:
@@ -68,26 +66,17 @@ def sample_energies(
         raise DomainError("sampling requires an integer particle count >= 1")
 
     log_q = -state.beta * ens.a  # log of the geometric ratio q = exp(-beta*a)
-    n_chunks = (sweeps + chunk_size - 1) // chunk_size
+    n_chunks = (sweeps + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-
-    def one_chunk(i):
-        lo = i * chunk_size
-        hi = min(lo + chunk_size, sweeps)
-        rng = np.random.Generator(np.random.PCG64(children[i]))
-        u = 1.0 - rng.random((hi - lo, n_osc))  # uniform on (0, 1]
-        return occupation_energies(u, log_q) * ens.a
-
-    parts = map_slots(one_chunk, n_chunks)
+    parts = []
+    for i, child in enumerate(children):
+        rows = min(_CHUNK, sweeps - i * _CHUNK)
+        rng = np.random.Generator(np.random.PCG64(child))
+        u = 1.0 - rng.random((rows, n_osc))  # uniform on (0, 1]
+        parts.append(occupation_energies(u, log_q) * ens.a)
+        del u  # free the chunk before the next one is drawn
     energies = np.concatenate(parts)
-    return SampleRun(
-        seed=seed,
-        sweeps=sweeps,
-        ens=ens,
-        state=state,
-        chunk_size=chunk_size,
-        energies=energies,
-    )
+    return SampleRun(seed=seed, sweeps=sweeps, ens=ens, state=state, energies=energies)
 
 
 def k_statistics(x: np.ndarray, order: int = 4) -> np.ndarray:

@@ -100,15 +100,21 @@ class Tomogram:
             raise DomainError("scale must be nonzero")
         return self.density(np.asarray(z) / lam) / abs(lam)
 
-    def char_function(self, k):
-        """chi(k) = int T(z) exp(ikz) dz, closed form Gaussian x polynomial."""
+    def char_poly(self, k):
+        """P(k) = 1 + sum_m gamma_m (i k sqrt(v))^m, the polynomial factor
+        of the characteristic function chi(k) = exp(-v k^2/2) P(k)."""
         k = np.asarray(k, dtype=float)
         sv = math.sqrt(self.variance)
         poly = np.ones_like(k, dtype=complex)
         for m in range(3, self.n0 + 1):
             if self.gamma[m]:
                 poly = poly + self.gamma[m] * (1j * k * sv) ** m
-        return np.exp(-0.5 * self.variance * k * k) * poly
+        return poly
+
+    def char_function(self, k):
+        """chi(k) = int T(z) exp(ikz) dz, closed form Gaussian x polynomial."""
+        k = np.asarray(k, dtype=float)
+        return np.exp(-0.5 * self.variance * k * k) * self.char_poly(k)
 
     def min_density(self, n_scan: int = 2001, n_sigma: float = 8.0) -> float:
         """Smallest density value over +/- n_sigma; negative means the
@@ -293,14 +299,7 @@ def _radial_terms(tom: Tomogram, n_r: int):
     pair: w_i P(-r_i) for +r_i and w_i P(r_i) for -r_i, where
     chi_t(k) = exp(-v k^2/2) P(k) is the tomogram's characteristic function."""
     r, w = radial_rule(tom.variance, n_r)
-    sv = math.sqrt(tom.variance)
-    poly_neg = np.ones(len(r), dtype=complex)  # P(-r_i)
-    poly_pos = np.ones(len(r), dtype=complex)  # P(+r_i)
-    for m in range(3, tom.n0 + 1):
-        if tom.gamma[m]:
-            poly_neg = poly_neg + tom.gamma[m] * (-1j * r * sv) ** m
-            poly_pos = poly_pos + tom.gamma[m] * (1j * r * sv) ** m
-    return r, w * poly_neg, w * poly_pos
+    return r, w * tom.char_poly(-r), w * tom.char_poly(r)
 
 
 def reconstruct(

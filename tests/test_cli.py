@@ -179,12 +179,47 @@ def test_bad_sizes_exit_2(argv, capsys):
     assert err.startswith("config error:") and out == ""
 
 
-@pytest.mark.parametrize("command", ["stats", "dual"])
-def test_large_beta_typed_error(command, capsys):
-    # epsilon underflows to 0 and the remark1 dual quantum overflows
-    code, _, err = _run([command, "--a", "1", "--beta", "800", "--N", "10"], capsys)
-    assert code in (2, 3)
+@pytest.mark.parametrize(
+    "argv, codes",
+    [
+        # epsilon underflows to 0 and the remark1 dual quantum overflows
+        pytest.param(["stats", "--beta", "800"], (2, 3), id="stats"),
+        pytest.param(["dual", "--beta", "800"], (2, 3), id="dual"),
+        # epsilon is subnormal, so lambda = 1/(eps (eps + a)) overflows; at
+        # the other extreme eps ~ 1/beta is so large that lambda underflows
+        pytest.param(["stats", "--beta", "720"], (2, 3), id="stats-720"),
+        pytest.param(["stats", "--beta", "1e-200"], (2, 3), id="stats-1e-200"),
+        # the remark1 path: a_t ~ 1e84 at beta = 200 (representable), and an
+        # order-4 cumulant past the largest double at beta = 400
+        pytest.param(["homotopy", "--beta", "200"], (0,), id="homotopy-200"),
+        pytest.param(["homotopy", "--beta", "400"], (2, 3), id="homotopy-400"),
+        pytest.param(["reconstruct", "--beta", "200"], (0, 2, 3), id="reconstruct-200"),
+        pytest.param(["reconstruct", "--beta", "400"], (0, 2, 3), id="reconstruct-400"),
+        # the symmetric dual: variances past the double range at 720 and 800,
+        # beta' underflows to 0 at 1e4 and 1e300
+        *[
+            pytest.param(
+                ["dual", "--variant", "symmetric", "--beta", beta], (2, 3),
+                id=f"dual-symmetric-{beta}",
+            )
+            for beta in ("720", "800", "1e4", "1e300")
+        ],
+    ],
+)
+def test_large_beta_typed_error(argv, codes, capsys):
+    code, _, err = _run(argv + ["--a", "1", "--N", "10"], capsys)
+    assert code in codes
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["dual", "homotopy", "tomogram", "reconstruct"])
+def test_config_variant_checked(command, tmp_path, capsys):
+    # a config file bypasses the argparse choices of --variant
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("a=1\nbeta=1\nN=10\nvariant=bogus\n")
+    code, out, err = _run([command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith("config error:") and "bogus" in err and out == ""
 
 
 def test_numerical_failure_exit_3(capsys):

@@ -68,6 +68,9 @@ def test_energy_stats_deep_quantum_regime_is_stable():
     # the manifold point needs eps > 0 for its curvature 1/(eps(eps + a))
     with pytest.raises(DomainError):
         ManifoldPoint.from_beta(800.0, ENS1)
+    # eps is subnormal at beta*a = 720, so the curvature overflows
+    with pytest.raises(DomainError):
+        ManifoldPoint.from_beta(720.0, ENS1)
 
 
 def test_entropy_value_and_limits():

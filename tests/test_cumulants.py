@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from thermoflux.cumulants import (
     finite_difference_cumulant,
     fluctuation_cumulants,
     moments_to_cumulants,
+    oscillator_cumulants,
     power_sum_check,
     stirling2,
 )
-from thermoflux.errors import DivergentPartition, OrderTooLarge
+from thermoflux.errors import DivergentPartition, DomainError, OrderTooLarge
 
 ENS1 = OscillatorEnsemble(a=1.0, n=1.0)
 ST1 = ThermoState(beta=1.0)
@@ -125,6 +127,35 @@ def test_energy_cumulants_errors():
         energy_cumulants(ThermoState(beta=-2.0), ENS1, 3)
     with pytest.raises(OrderTooLarge):
         energy_cumulants(ST1, ENS1, 21)
+
+
+def test_coefficient_table_is_cached():
+    assert coefficient_table(9) is coefficient_table(9)
+
+
+def test_oscillator_cumulants_either_sign():
+    # x > 0, and the formal x < 0 with either sign of the quantum
+    for a, x in ((1.3, 0.7), (1.3, -0.7), (-2.0, -1.5)):
+        eps = a / math.expm1(x)
+        kv = oscillator_cumulants(a, x, 8)
+        assert kv[0] == pytest.approx(eps, rel=1e-15)
+        assert kv[1] == pytest.approx(eps * (eps + a), rel=1e-14)
+        e, q = Fraction(kv[0]), Fraction(a)
+        for k in range(1, 9):
+            terms = [c_explicit(k, m) * e**m * q ** (k - m) for m in range(1, k + 1)]
+            scale = float(sum(abs(t) for t in terms))
+            assert abs(kv[k - 1] - float(sum(terms))) <= 1e-14 * scale
+
+
+def test_oscillator_cumulants_large_quantum():
+    # the remark1 dual at beta = 200: a^4 overflows, eps * a^3 does not
+    a, x = 3.6e84, 189.0
+    kv = oscillator_cumulants(a, x, 4)
+    assert np.all(np.isfinite(kv))
+    # nbar ~ 1e-82: every cumulant is a^(k-1) * eps to double precision
+    assert kv[3] == pytest.approx(a**3 * kv[0], rel=1e-14)
+    with pytest.raises(DomainError):
+        oscillator_cumulants(a, x, 8)
 
 
 def test_fluctuation_cumulants():

@@ -145,6 +145,24 @@ def test_remark1_extreme_coupling():
             solve_remark1(1.0, beta, 10.0)
 
 
+def test_symmetric_extreme_coupling():
+    # phi and phi' far below zero, where exp(-z) overflows
+    assert 0.0 < phi(-720.0) < 1e-300
+    assert phi(-800.0) == 0.0
+    assert phi_prime(-697.0) > 0.0
+    # beta*a = 720: beta' ~ 5e-158 and a' ~ -2e158 are representable, the
+    # dual variance is not
+    pair = solve_symmetric(1.0, 720.0, 10.0)
+    assert 0.0 < pair.beta_dual and math.isfinite(pair.a_dual) and pair.a_dual < 0
+    assert max(pair.residuals) < 1e-10
+    with pytest.raises(DomainError):
+        dual_fluctuation_variances(pair)
+    # beta' = exp(-(beta*a + y)/2)/beta underflows to 0
+    for beta in (1e4, 1e300):
+        with pytest.raises(DomainError):
+            solve_symmetric(1.0, beta, 10.0)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         solve_symmetric(-1.0, 1.0, 10.0)

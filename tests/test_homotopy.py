@@ -156,6 +156,23 @@ def test_symmetric_path_formal_region():
     assert kv.kappa(2) == pytest.approx(path.variance_at(math.pi / 2), rel=1e-12)
 
 
+def test_remark1_path_at_large_coupling():
+    # beta*a = 200: a_t reaches ~4e84; the order-4 cumulants stay finite
+    _, path = _path(beta=200.0, n=10.0)
+    for t in np.linspace(0.0, math.pi / 2, 5):
+        kv = path_cumulants(path, float(t), 4)
+        assert np.all(np.isfinite(kv.values))
+        assert kv.kappa(2) == pytest.approx(path.variance_at(float(t)), rel=1e-12)
+    # beta*a = 400: at t = 0, mean_t^2 underflows but n v_t / mean_t^2 does
+    # not; at t = pi/2, kappa_4 ~ 1e510
+    _, path = _path(beta=400.0, n=10.0)
+    point = path_params(path, 0.0)
+    assert point.a == pytest.approx(1.0, rel=1e-12)
+    assert point.beta == pytest.approx(400.0, rel=1e-12)
+    with pytest.raises(DomainError):
+        path_cumulants(path, math.pi / 2, 4)
+
+
 def test_order_and_domain_guards():
     _, path = _path()
     with pytest.raises(OrderTooLarge):

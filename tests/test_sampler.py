@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -27,14 +24,15 @@ def test_seed_determinism():
     assert not np.array_equal(r1.energies, r3.energies)
 
 
-def test_thread_count_does_not_change_samples(monkeypatch):
-    ens = OscillatorEnsemble(a=1.0, n=20)
-    st = ThermoState(beta=1.0)
-    monkeypatch.setenv("THERMOFLUX_THREADS", "1")
-    base = sample_energies(ens, st, sweeps=40000, seed=9)
-    monkeypatch.setenv("THERMOFLUX_THREADS", "4")
-    par = sample_energies(ens, st, sweeps=40000, seed=9)
-    assert np.array_equal(base.energies, par.energies)
+def test_pinned_stream():
+    # the chunk length (16384 sweeps, one child seed each) is part of the
+    # stream: these values fix it, across a chunk boundary and a partial
+    # last chunk (40000 = 2 * 16384 + 7232)
+    run = sample_energies(OscillatorEnsemble(a=1.0, n=20), ThermoState(beta=1.0), sweeps=40000, seed=9)
+    assert len(run.energies) == 40000
+    assert list(run.energies[:4]) == [7, 15, 6, 9]
+    assert list(run.energies[16383:16386]) == [19, 10, 8]
+    assert run.energies.sum() == 466464
 
 
 def test_ground_state_limit():
