@@ -4,9 +4,10 @@ Subcommands: stats, cumulants, dual, homotopy, tomogram, reconstruct,
 sample, verify.  Output is deterministic for a fixed config and seed:
 JSON is emitted with sorted keys and shortest-roundtrip floats.
 
-Exit codes: 0 success; 2 invalid configuration (message names the violated
-precondition); 3 numerical failure (bracket/quadrature/degeneracy) with a
-JSON diagnostic payload.
+Exit codes: 0 success; 1 a `verify` invariant failed (the report names
+it); 2 invalid configuration (message names the violated precondition);
+3 numerical failure (bracket/quadrature/degeneracy) with a JSON
+diagnostic payload.
 
 A plain-text config file (key=value per line, '#' comments) can supply
 defaults; explicit flags win.
@@ -327,7 +328,6 @@ def cmd_reconstruct(args):
     n_r = int(_resolve(args, "n_r", 96, int))
     grid_points = int(_resolve(args, "grid_points", 41, int))
     n_sigma = _resolve(args, "n_sigma", 6.0)
-    h = 2.0 / n
 
     if family == "gaussian":
         alpha = ManifoldPoint.from_beta(beta, OscillatorEnsemble(a=a, n=n))
@@ -340,6 +340,7 @@ def cmd_reconstruct(args):
     else:
         raise ConfigError(f"family must be 'gaussian' or 'homotopy', got {family!r}")
 
+    h = 2.0 / n  # after the family branch has checked n
     x, y = make_grid(math.sqrt(v), math.sqrt(vp), (grid_points, grid_points), n_sigma)
     grid = reconstruct(toms, h, x, y, n_r=n_r)
     diagnostics = dict(grid.diagnostics)

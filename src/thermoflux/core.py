@@ -36,10 +36,10 @@ class OscillatorEnsemble:
     n: float
 
     def __post_init__(self):
-        if self.a == 0:
-            raise DomainError("energy quantum a must be nonzero")
-        if not self.n > 0:
-            raise DomainError("particle count n must be positive")
+        if self.a == 0 or not math.isfinite(self.a):
+            raise DomainError(f"energy quantum a must be finite and nonzero, got {self.a!r}")
+        if not 0 < self.n < math.inf:
+            raise DomainError(f"particle count n must be finite and positive, got {self.n!r}")
 
     @property
     def physical_spectrum(self) -> bool:
@@ -92,7 +92,8 @@ class ManifoldPoint:
             raise DomainError(
                 f"specific energy underflows to 0 at beta*a = {beta * ens.a!r}"
             )
-        lam = 1.0 / (epsilon * (epsilon + ens.a))
+        curvature_inv = epsilon * (epsilon + ens.a)  # underflows to 0 for tiny a
+        lam = 1.0 / curvature_inv if curvature_inv != 0.0 else math.inf
         if not 0.0 < lam < math.inf:
             raise DomainError(
                 f"fluctuation curvature {lam!r} is not representable at "

@@ -221,10 +221,8 @@ def dual_fluctuation_variances(pair: DualPair):
     (beta'*a' < 0) the expressions remain finite.  Raises DomainError where
     either variance underflows to 0 or overflows a double.
     """
-    v = (
-        energy_stats(ThermoState(pair.beta), pair.source).variance
-        / pair.n**2
-    )
+    # divided by n twice: n**2 alone can underflow
+    v = energy_stats(ThermoState(pair.beta), pair.source).variance / pair.n / pair.n
     # a'^2 nbar' (nbar' + 1) = eps' (eps' + a'), which stays finite where
     # a'^2 would overflow
     eps_dual = pair.a_dual * mean_occupation_signed(pair.beta_dual * pair.a_dual)
@@ -245,7 +243,7 @@ def verify_duality(pair: DualPair) -> DualityReport:
     of the variant's imposed condition.
     """
     v, v_dual = dual_fluctuation_variances(pair)
-    product = v * v_dual * pair.n * pair.n_dual
+    product = (v * pair.n) * (v_dual * pair.n_dual)  # each factor is O(1)
 
     eps = pair.a * mean_occupation(pair.beta * pair.a)
     eps_dual = pair.a_dual * mean_occupation_signed(pair.beta_dual * pair.a_dual)

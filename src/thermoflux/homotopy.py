@@ -125,8 +125,16 @@ def path_cumulants(path: HomotopyPath, t: float, order: int) -> CumulantVector:
     if not 1 <= order <= 8:
         raise OrderTooLarge(f"path cumulant order must be in 1..8, got {order}")
     point = path_params(path, t)
-    scale = path.n ** (1.0 - np.arange(1, order + 1))  # n^(1-k)
-    values = oscillator_cumulants(point.a, point.beta * point.a, order) * scale
+    kappa = oscillator_cumulants(point.a, point.beta * point.a, order)
+    if path.n >= 1.0:  # n^(1-k) <= 1, so the values stay finite
+        values = kappa * path.n ** (1.0 - np.arange(1, order + 1))
+    else:
+        with np.errstate(over="ignore"):  # checked below
+            values = kappa * path.n ** (1.0 - np.arange(1, order + 1))
+        if not np.all(np.isfinite(values)):
+            raise DomainError(
+                f"path cumulants up to order {order} overflow a double at n = {path.n!r}"
+            )
     values[0] = 0.0
     return CumulantVector(order=order, values=values)
 

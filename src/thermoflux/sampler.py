@@ -7,6 +7,17 @@ are partitioned into chunks of _CHUNK sweeps, each drawn from its own child
 of the spawned seed sequence and evaluated in order.  The chunk length is
 part of the stream: together with (seed, sweeps) it fixes every energy, so
 changing it changes the samples.
+
+Within a chunk the uniforms are drawn and reduced a tile of rows at a time
+into one reused buffer of about _TILE doubles.  PCG64 fills doubles in
+order, so the tiles see exactly the uniforms of one whole-chunk draw, and
+occupation sums are exact integers: the tile size changes no energy.  Draw
+memory is one tile, not chunk x n_oscillators.
+
+Standard errors come from a delete-block jackknife evaluated in one pass:
+per-block central power sums about the global mean give every leave-out
+set's moments by subtraction, and one k-statistic formula serves both the
+full sample and all leave-out sets at once.
 """
 
 from __future__ import annotations
@@ -20,17 +31,24 @@ from .errors import DivergentPartition, DomainError, InsufficientSamples
 
 # Sweeps per chunk; each chunk has its own child seed, so this fixes the stream.
 _CHUNK = 16384
+# Doubles per draw tile; a tile holds max(1, _TILE // n_oscillators) sweeps.
+# It bounds memory only and changes no energy.
+_TILE = 65536
 
 
 def occupation_energies(uniforms, log_q):
     """Total occupation numbers per sweep from a uniform stream.
 
-    uniforms has shape (sweeps, n_oscillators) with entries in (0, 1];
-    each entry maps to a geometric occupation floor(log(u)/log(q)).
-    The result is an exact integer-valued float array.
+    uniforms is a float array of shape (sweeps, n_oscillators) with entries
+    in (0, 1]; each entry maps to a geometric occupation
+    floor(log(u)/log(q)).  The work is done in place, so uniforms is
+    overwritten with the occupations.  The result is an exact
+    integer-valued float array.
     """
-    occ = np.floor(np.log(uniforms) / log_q)
-    return occ.sum(axis=1)
+    np.log(uniforms, out=uniforms)
+    np.divide(uniforms, log_q, out=uniforms)
+    np.floor(uniforms, out=uniforms)
+    return uniforms.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -68,15 +86,38 @@ def sample_energies(
     log_q = -state.beta * ens.a  # log of the geometric ratio q = exp(-beta*a)
     n_chunks = (sweeps + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    parts = []
+    tile = np.empty((min(max(1, _TILE // n_osc), _CHUNK, sweeps), n_osc))
+    energies = np.empty(sweeps)
     for i, child in enumerate(children):
-        rows = min(_CHUNK, sweeps - i * _CHUNK)
         rng = np.random.Generator(np.random.PCG64(child))
-        u = 1.0 - rng.random((rows, n_osc))  # uniform on (0, 1]
-        parts.append(occupation_energies(u, log_q) * ens.a)
-        del u  # free the chunk before the next one is drawn
-    energies = np.concatenate(parts)
+        stop = min((i + 1) * _CHUNK, sweeps)
+        for lo in range(i * _CHUNK, stop, len(tile)):
+            u = tile[: min(len(tile), stop - lo)]
+            rng.random(out=u)
+            np.subtract(1.0, u, out=u)  # uniform on (0, 1]
+            energies[lo : lo + len(u)] = occupation_energies(u, log_q)
+    energies *= ens.a
     return SampleRun(seed=seed, sweeps=sweeps, ens=ens, state=state, energies=energies)
+
+
+def _k_from_moments(m, mean, m2, m3, m4, order: int) -> np.ndarray:
+    """Unbiased k-statistics k_1..k_order from the sample size m, the mean
+    and the central moments m2..m4 (each a mean of d**p about the mean).
+
+    The arguments may be equal-shape arrays, one entry per sample; the
+    result then has one row per order.
+    """
+    out = [mean]
+    if order >= 2:
+        out.append(m * m2 / (m - 1))
+    if order >= 3:
+        out.append(m * m * m3 / ((m - 1) * (m - 2)))
+    if order >= 4:
+        out.append(
+            m * m * ((m + 1) * m4 - 3 * (m - 1) * m2 * m2)
+            / ((m - 1) * (m - 2) * (m - 3))
+        )
+    return np.array(out[:order])
 
 
 def k_statistics(x: np.ndarray, order: int = 4) -> np.ndarray:
@@ -89,20 +130,25 @@ def k_statistics(x: np.ndarray, order: int = 4) -> np.ndarray:
         raise InsufficientSamples(f"need at least {order + 1} samples, got {m}")
     mean = x.mean()
     d = x - mean
-    m2 = np.mean(d**2)
-    m3 = np.mean(d**3)
-    m4 = np.mean(d**4)
-    out = [mean]
-    if order >= 2:
-        out.append(m * m2 / (m - 1))
-    if order >= 3:
-        out.append(m * m * m3 / ((m - 1) * (m - 2)))
-    if order >= 4:
-        out.append(
-            m * m * ((m + 1) * m4 - 3 * (m - 1) * m2 * m2)
-            / ((m - 1) * (m - 2) * (m - 3))
-        )
-    return np.array(out[:order])
+    return _k_from_moments(m, mean, np.mean(d**2), np.mean(d**3), np.mean(d**4), order)
+
+
+def _leave_out_k_statistics(x: np.ndarray, g: int, order: int) -> np.ndarray:
+    """k-statistics of x with each of its g np.array_split blocks left out,
+    one row per block, from per-block central power sums in one pass."""
+    sizes = np.array([len(part) for part in np.array_split(x, g)])
+    mu = x.mean()
+    d = x - mu
+    # block power sums of d**1..d**4 about the global mean, one row per block
+    block = np.add.reduceat(d[:, None] ** np.arange(1, 5), np.cumsum(sizes) - sizes, axis=0)
+    rest = block.sum(axis=0) - block
+    n = (len(x) - sizes).astype(float)
+    s1, s2, s3, s4 = (rest[:, p] / n for p in range(4))
+    # shift each leave-out set's moments from mu to its own mean mu + s1
+    m2 = s2 - s1 * s1
+    m3 = s3 - 3 * s1 * s2 + 2 * s1**3
+    m4 = s4 - 4 * s1 * s3 + 6 * s1 * s1 * s2 - 3 * s1**4
+    return _k_from_moments(n, mu + s1, m2, m3, m4, order).T
 
 
 @dataclass(frozen=True)
@@ -122,11 +168,7 @@ def empirical_cumulants(
         raise InsufficientSamples(f"need at least 100 samples, got {m}")
     estimates = k_statistics(run.energies, order)
     g = min(blocks, m // 10)
-    parts = np.array_split(run.energies, g)
-    loo = np.empty((g, order))
-    for i in range(g):
-        rest = np.concatenate([parts[j] for j in range(g) if j != i])
-        loo[i] = k_statistics(rest, order)
+    loo = _leave_out_k_statistics(run.energies, g, order)
     center = loo.mean(axis=0)
     se = np.sqrt((g - 1) / g * np.sum((loo - center) ** 2, axis=0))
     return EmpiricalCumulants(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from thermoflux.cli import main
+from thermoflux.verify import SUITES
 
 
 def _run(argv, capsys):
@@ -171,10 +172,14 @@ def test_divergent_config_exit_2(capsys):
         ["reconstruct", "--grid-points", "0"],
         ["homotopy", "--num-t", "0"],
         ["homotopy", "--num-t", "-2"],
+        # an infinite particle count
+        pytest.param(["sample", "--N", "inf", "--sweeps", "200"], id="sample-N-inf"),
+        pytest.param(["stats", "--N", "inf", "--json"], id="stats-N-inf"),
     ],
 )
 def test_bad_sizes_exit_2(argv, capsys):
-    code, out, err = _run(argv + ["--a", "1", "--beta", "1", "--N", "10"], capsys)
+    # the case's own flags come last, so they win over the defaults
+    code, out, err = _run(argv[:1] + ["--a", "1", "--beta", "1", "--N", "10"] + argv[1:], capsys)
     assert code == 2
     assert err.startswith("config error:") and out == ""
 
@@ -212,6 +217,26 @@ def test_large_beta_typed_error(argv, codes, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, codes",
+    [
+        # n**2 underflows at N = 1e-300; the higher path cumulants overflow
+        pytest.param(["dual", "--N", "1e-300"], (0,), id="dual-N-1e-300"),
+        pytest.param(["homotopy", "--N", "1e-300"], (2, 3), id="homotopy-N-1e-300"),
+        pytest.param(["tomogram", "--N", "1e-300"], (2, 3), id="tomogram-N-1e-300"),
+        pytest.param(["reconstruct", "--N", "1e-300"], (2, 3), id="reconstruct-N-1e-300"),
+        # h = 2/N must not be formed before N is checked
+        pytest.param(["reconstruct", "--N", "0"], (2,), id="reconstruct-N-0"),
+        # eps * (eps + a) underflows to 0
+        pytest.param(["stats", "--a", "1e-300", "--beta", "1e300"], (2, 3), id="stats-a-1e-300"),
+    ],
+)
+def test_tiny_value_typed_error(argv, codes, capsys):
+    code, _, err = _run(argv[:1] + ["--a", "1", "--beta", "1", "--N", "10"] + argv[1:], capsys)
+    assert code in codes
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["dual", "homotopy", "tomogram", "reconstruct"])
 def test_config_variant_checked(command, tmp_path, capsys):
     # a config file bypasses the argparse choices of --variant
@@ -238,6 +263,13 @@ def test_verify_subcommand(capsys):
     code, out, _ = _run(["verify", "--suite", "coefficients"], capsys)
     assert code == 0
     assert all(line.startswith("PASS") for line in out.strip().splitlines())
+
+
+def test_verify_failed_invariant_exit_1(monkeypatch, capsys):
+    monkeypatch.setitem(SUITES, "broken", lambda seed: [("always-fails", False, "forced")])
+    code, out, _ = _run(["verify", "--suite", "broken"], capsys)
+    assert code == 1
+    assert out.strip() == "FAIL broken.always-fails (forced)"
 
 
 def test_byte_identical_output():

@@ -109,6 +109,14 @@ def test_verify_duality_remark1():
     assert rep.imposed_condition_residual < 1e-12
 
 
+@pytest.mark.parametrize("solve", [solve_symmetric, solve_remark1])
+def test_verify_duality_tiny_n(solve):
+    # n**2 underflows at n = 1e-300 and v * v' overflows, while v * n,
+    # v' * n' and their product stay O(1)
+    rep = verify_duality(solve(1.0, 1.0, 1e-300))
+    assert rep.variance_product_scaled == pytest.approx(1.0, abs=1e-9)
+
+
 def test_random_sweep_residuals_and_signs():
     rng = np.random.default_rng(17)
     x = rng.uniform(0.05, 10.0, 200)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,3 +115,77 @@ def test_csv_export(tmp_path):
     assert lines[0] == "energy"
     values = np.array([float(v) for v in lines[1:]])
     assert np.array_equal(values, run.energies)
+
+
+def _reference_energies(a, n, beta, sweeps, seed, chunk=16384):
+    # the whole-chunk draw: one rng.random((rows, n)) per child seed
+    log_q = -beta * a
+    children = np.random.SeedSequence(seed).spawn((sweeps + chunk - 1) // chunk)
+    parts = []
+    for i, child in enumerate(children):
+        rows = min(chunk, sweeps - i * chunk)
+        u = np.random.Generator(np.random.PCG64(child)).random((rows, n))
+        parts.append(np.floor(np.log(1.0 - u) / log_q).sum(1) * a)
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize(
+    "a, n, beta, sweeps",
+    [
+        (1.0, 1, 1.0, 40000),  # one tile per chunk, partial last chunk
+        (0.7, 300, 0.8, 16384 + 1000),  # chunks and the run end mid-tile
+        (1.0, 70000, 1.0, 20),  # more oscillators than a tile: one row each
+    ],
+)
+def test_tiled_draw_matches_whole_chunk_draw(a, n, beta, sweeps):
+    run = sample_energies(OscillatorEnsemble(a=a, n=n), ThermoState(beta=beta), sweeps, seed=4)
+    assert np.array_equal(run.energies, _reference_energies(a, n, beta, sweeps, seed=4))
+
+
+def _exact_jackknife_se(occ, g):
+    # delete-block jackknife of Fisher k-statistics in exact rational
+    # arithmetic, from integer power sums over each leave-out set
+    occ = [int(v) for v in occ]
+    sums, lo = [], 0
+    for size in (len(b) for b in np.array_split(np.arange(len(occ)), g)):
+        sums.append([sum(v**p for v in occ[lo : lo + size]) for p in range(5)])
+        lo += size
+    total = [sum(s[p] for s in sums) for p in range(5)]
+    loo = []
+    for s in sums:
+        n, s1, s2, s3, s4 = (total[p] - s[p] for p in range(5))
+        loo.append([
+            Fraction(s1, n),
+            Fraction(n * s2 - s1**2, n * (n - 1)),
+            Fraction(n * n * s3 - 3 * n * s2 * s1 + 2 * s1**3, n * (n - 1) * (n - 2)),
+            Fraction(
+                (n**3 + n**2) * s4 - 4 * (n**2 + n) * s3 * s1 - 3 * (n**2 - n) * s2**2
+                + 12 * n * s2 * s1**2 - 6 * s1**4,
+                n * (n - 1) * (n - 2) * (n - 3),
+            ),
+        ])
+    se = []
+    for k in range(4):
+        center = sum(row[k] for row in loo) / g
+        se.append(math.sqrt(Fraction(g - 1, g) * sum((row[k] - center) ** 2 for row in loo)))
+    return np.array(se)
+
+
+def test_jackknife_matches_exact_rational():
+    run = sample_energies(OscillatorEnsemble(a=1.0, n=10), ThermoState(beta=1.0), sweeps=3001, seed=8)
+    emp = empirical_cumulants(run, order=4)
+    exact = _exact_jackknife_se(run.energies, emp.blocks)
+    assert emp.blocks == 50
+    assert np.all(np.abs(emp.standard_errors - exact) <= 1e-12 * exact)
+
+
+def test_draw_memory_is_one_tile():
+    ens = OscillatorEnsemble(a=1.0, n=300)
+    tracemalloc.start()
+    try:
+        sample_energies(ens, ThermoState(beta=1.0), sweeps=100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole-chunk draw would hold 16384 * 300 doubles (39 MB) at least
+    assert peak < 8e6
