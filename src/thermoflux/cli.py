@@ -112,6 +112,14 @@ def _resolve(args, key, default=None, cast=float):
     return default
 
 
+def _seed(args, default: int) -> int:
+    """The --seed value; numpy seed sequences take only nonnegative integers."""
+    seed = int(_resolve(args, "seed", default, int))
+    if seed < 0:
+        raise ConfigError(f"--seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def _emit(args, results: dict, diagnostics: dict | None = None, text=None) -> None:
     if args.json:
         doc = {
@@ -330,8 +338,8 @@ def cmd_reconstruct(args):
     n_sigma = _resolve(args, "n_sigma", 6.0)
 
     if family == "gaussian":
-        alpha = ManifoldPoint.from_beta(beta, OscillatorEnsemble(a=a, n=n))
-        v, vp = 1.0 / (n * alpha.lam), alpha.lam / n
+        fl = quasi_fluctuations(ManifoldPoint.from_beta(beta, OscillatorEnsemble(a=a, n=n)), n)
+        v, vp = fl.variance_eps, fl.variance_beta
         toms = gaussian_tomogram_family(v, vp, n_theta)
     elif family == "homotopy":
         path = HomotopyPath.from_dual_pair(_solve_dual(a, beta, n, variant))
@@ -373,7 +381,7 @@ def cmd_sample(args):
     beta = _resolve(args, "beta")
     n = _resolve(args, "n")
     sweeps = int(_resolve(args, "sweeps", 10000, int))
-    seed = int(_resolve(args, "seed", 0, int))
+    seed = _seed(args, 0)
     ens = OscillatorEnsemble(a=a, n=n)
     st = ThermoState(beta=beta)
     run = sample_energies(ens, st, sweeps=sweeps, seed=seed)
@@ -390,16 +398,19 @@ def cmd_sample(args):
     diagnostics = {}
     if args.check:
         kv = energy_cumulants(st, ens, 4)
-        z = np.abs(emp.estimates - kv.values) / emp.standard_errors
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            z = np.abs(emp.estimates - kv.values) / emp.standard_errors
         diagnostics["analytic"] = [float(v) for v in kv.values]
-        diagnostics["z_scores"] = [float(v) for v in z]
+        # null where the z-score has no finite value: a standard error of 0,
+        # or one so small that the quotient overflows
+        diagnostics["z_scores"] = [float(v) if math.isfinite(v) else None for v in z]
     _emit(args, results, diagnostics)
     return 0
 
 
 def cmd_verify(args):
     suite = _resolve(args, "suite", "all", str)
-    seed = int(_resolve(args, "seed", 42, int))
+    seed = _seed(args, 42)
     names = list(SUITES) if suite == "all" else [suite]
     for name in names:
         if name not in SUITES:

@@ -23,6 +23,8 @@ from .errors import DivergentPartition, DomainError
 # at the front end, never inside the math.
 K_B_CGS = 1.3806488e-16
 
+_LOG2 = math.log(2.0)
+
 
 @dataclass(frozen=True)
 class OscillatorEnsemble:
@@ -54,6 +56,8 @@ class ThermoState:
     source: str = "thermostat"  # "thermostat" | "derived"
 
     def __post_init__(self):
+        if not math.isfinite(self.beta):
+            raise DomainError(f"inverse temperature must be finite, got {self.beta!r}")
         if self.source not in ("thermostat", "derived"):
             raise DomainError("source must be 'thermostat' or 'derived'")
 
@@ -148,10 +152,39 @@ def mean_occupation_signed(x: float) -> float:
     return 1.0 / math.expm1(x)
 
 
+def _log1mexp(x: float) -> float:
+    """log(1 - exp(-x)) for x > 0 to full relative precision.
+
+    log(-expm1(-x)) loses it for large x, where 1 - exp(-x) rounds to 1,
+    and log1p(-exp(-x)) for small x, where exp(-x) rounds near 1; each
+    form is used on its own side of x = log 2 (Maechler, "Accurately
+    computing log(1 - exp(-|a|))", 2012).
+    """
+    if x <= _LOG2:
+        return math.log(-math.expm1(-x))
+    return math.log1p(-math.exp(-x))
+
+
+def _occupation_entropy(nbar: float) -> float:
+    """Entropy per oscillator at mean occupation nbar > 0,
+
+        s = (1 + nbar) log1p(nbar) - nbar log(nbar),
+
+    summed as two nonnegative terms on either side of nbar = 1, so that
+    nothing cancels: as written for nbar < 1 (-nbar log nbar > 0), and as
+    log1p(nbar) + nbar log1p(1/nbar) for nbar >= 1.  The textbook form
+    log(nbar) + (1 + nbar) log1p(1/nbar) cancels two terms of size beta*a
+    at large beta*a.
+    """
+    if nbar < 1.0:
+        return (1.0 + nbar) * math.log1p(nbar) - nbar * math.log(nbar)
+    return math.log1p(nbar) + nbar * math.log1p(1.0 / nbar)
+
+
 def log_partition(state: ThermoState, ens: OscillatorEnsemble) -> float:
     """log Z for n oscillators: -n*log(1 - exp(-beta*a))."""
     _check_convergent(state.beta, ens.a)
-    return -ens.n * math.log(-math.expm1(-state.beta * ens.a))
+    return -ens.n * _log1mexp(state.beta * ens.a)
 
 
 def energy_stats(state: ThermoState, ens: OscillatorEnsemble) -> EnergyStats:
@@ -176,10 +209,7 @@ def entropy_stat(ens: OscillatorEnsemble, energy: float) -> float:
         raise DomainError("total energy must be positive")
     if not ens.a > 0:
         raise DomainError("entropy requires a physical spectrum (a > 0)")
-    an = ens.a * ens.n
-    return ens.n * (
-        -math.log(an / energy) + (1.0 + energy / an) * math.log1p(an / energy)
-    )
+    return ens.n * _occupation_entropy(energy / (ens.a * ens.n))
 
 
 def specific_entropy(epsilon: float, ens: OscillatorEnsemble):
@@ -194,7 +224,7 @@ def specific_entropy(epsilon: float, ens: OscillatorEnsemble):
     if not ens.a > 0:
         raise DomainError("specific entropy requires a > 0")
     a = ens.a
-    s = -math.log(a / epsilon) + (1.0 + epsilon / a) * math.log1p(a / epsilon)
+    s = _occupation_entropy(epsilon / a)
     s1 = math.log1p(a / epsilon) / a
     s2 = -1.0 / (epsilon * (epsilon + a))
     return s, s1, s2
@@ -204,15 +234,15 @@ def legendre_phi(state: ThermoState, ens: OscillatorEnsemble):
     """Legendre conjugate phi(beta) of s(eps) and its second derivative.
 
     phi(beta) = (-beta*eps + s(eps)) at eps = eps(beta), which collapses to
-    the specific log-partition; phi''(beta) = 1/lam.
+    the specific log-partition -log(1 - exp(-beta*a)); it is evaluated in
+    that form, since the two terms of the first cancel at large beta*a.
+    phi''(beta) = 1/lam.
     Returns (phi, phi2).
     """
     _check_convergent(state.beta, ens.a)
     a = ens.a
     nbar = mean_occupation(state.beta * a)
-    eps = a * nbar
-    s, _, _ = specific_entropy(eps, OscillatorEnsemble(a=a, n=1.0))
-    phi = -state.beta * eps + s
+    phi = -_log1mexp(state.beta * a)
     phi2 = a * a * nbar * (nbar + 1.0)  # = eps*(eps + a) = 1/lam
     return phi, phi2
 
@@ -226,8 +256,12 @@ def quasi_fluctuations(alpha: ManifoldPoint, n: float) -> GaussianFluctuation:
     """
     if not n > 0:
         raise DomainError("particle count must be positive")
-    return GaussianFluctuation(
-        variance_eps=1.0 / (n * alpha.lam),
-        variance_beta=alpha.lam / n,
-        n=n,
-    )
+    n_lam = n * alpha.lam  # underflows to 0 for tiny n and lam
+    variance_eps = 1.0 / n_lam if n_lam != 0.0 else math.inf
+    variance_beta = alpha.lam / n
+    if not (0.0 < variance_eps < math.inf and 0.0 < variance_beta < math.inf):
+        raise DomainError(
+            f"fluctuation variances are not representable at n = {n!r}, "
+            f"lam = {alpha.lam!r}"
+        )
+    return GaussianFluctuation(variance_eps=variance_eps, variance_beta=variance_beta, n=n)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -197,7 +198,12 @@ def energy_cumulants(
     _check_order(n_max)
     if not state.beta * ens.a > 0:
         raise DivergentPartition("cumulants require beta*a > 0")
-    values = ens.n * oscillator_cumulants(ens.a, state.beta * ens.a, n_max)
+    with np.errstate(over="ignore"):  # checked below
+        values = ens.n * oscillator_cumulants(ens.a, state.beta * ens.a, n_max)
+    if not np.all(np.isfinite(values)):
+        raise DomainError(
+            f"energy cumulants up to order {n_max} overflow a double at n = {ens.n!r}"
+        )
     return CumulantVector(order=n_max, values=values)
 
 
@@ -206,25 +212,67 @@ def fluctuation_cumulants(
 ) -> CumulantVector:
     """Cumulants of the centered specific-energy fluctuation (E - <E>)/n.
 
-    kappa_1 = 0; kappa_n = K_n / n_particles^n for n >= 2.
+    kappa_1 = 0; kappa_n = K_n / n_particles^n for n >= 2.  Raises
+    DomainError where n_particles^n is not a normal double (it over- or
+    underflows) or a quotient overflows.
     """
     kv = energy_cumulants(state, ens, n_max)
-    values = kv.values / ens.n ** np.arange(1, n_max + 1)
+    with np.errstate(all="ignore"):  # checked below
+        scale = ens.n ** np.arange(1, n_max + 1)
+        values = kv.values / scale
+    if not (
+        np.all((scale >= sys.float_info.min) & (scale <= sys.float_info.max))
+        and np.all(np.isfinite(values))
+    ):
+        raise DomainError(
+            f"fluctuation cumulants up to order {n_max} leave the double range "
+            f"at n = {ens.n!r}"
+        )
     values[0] = 0.0
     return CumulantVector(order=n_max, values=values)
 
 
-def cumulants_to_moments(kappa: CumulantVector) -> np.ndarray:
-    """Raw moments m_1..m_order from cumulants (standard Bell recursion)."""
-    _check_order(kappa.order)
-    n = kappa.order
-    m = np.zeros(n + 1)
-    m[0] = 1.0
+@functools.cache
+def _binomial_table(n: int) -> np.ndarray:
+    """C(j, k) at [j, k] for 0 <= j, k < n as floats (exact: C(19, 9) is far
+    below 2^53), computed once per n and shared read-only."""
+    table = np.array([[math.comb(j, k) for k in range(n)] for j in range(n)], dtype=float)
+    table.flags.writeable = False
+    return table
+
+
+def cumulant_rows_to_moments(values) -> np.ndarray:
+    """Raw moments m_1..m_n of every row of cumulants kappa_1..kappa_n.
+
+    values has shape (..., n); so has the result.  The Bell recursion
+
+        m_j = sum_{k=0}^{j-1} C(j-1, k) * kappa_{k+1} * m_{j-1-k},   m_0 = 1,
+
+    runs once over all rows.  Each sum is accumulated sequentially in k
+    order, starting from +0.0, so every row is bit-identical to the
+    one-row scalar recursion; np.sum (pairwise) or a matrix product (BLAS)
+    would add in another order.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    _check_order(n)
+    binom = _binomial_table(n)
+    m = np.empty(values.shape[:-1] + (n + 1,))
+    m[..., 0] = 1.0
     for j in range(1, n + 1):
-        m[j] = sum(
-            math.comb(j - 1, k) * kappa.values[k] * m[j - 1 - k] for k in range(j)
-        )
-    return m[1:]
+        terms = binom[j - 1, :j] * values[..., :j] * m[..., j - 1 :: -1]
+        # a left-to-right sum from +0.0 equals the running sum plus +0.0:
+        # the two differ only in the sign of an all-zero sum
+        m[..., j] = np.cumsum(terms, axis=-1)[..., -1] + 0.0
+    return m[..., 1:]
+
+
+def cumulants_to_moments(kappa: CumulantVector) -> np.ndarray:
+    """Raw moments m_1..m_order from cumulants (standard Bell recursion).
+
+    One row of cumulant_rows_to_moments, which works on stacked rows.
+    """
+    return cumulant_rows_to_moments(kappa.values)
 
 
 def moments_to_cumulants(moments: np.ndarray) -> CumulantVector:

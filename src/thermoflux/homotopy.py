@@ -129,7 +129,7 @@ def path_cumulants(path: HomotopyPath, t: float, order: int) -> CumulantVector:
     if path.n >= 1.0:  # n^(1-k) <= 1, so the values stay finite
         values = kappa * path.n ** (1.0 - np.arange(1, order + 1))
     else:
-        with np.errstate(over="ignore"):  # checked below
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
             values = kappa * path.n ** (1.0 - np.arange(1, order + 1))
         if not np.all(np.isfinite(values)):
             raise DomainError(

@@ -34,6 +34,10 @@ _CHUNK = 16384
 # Doubles per draw tile; a tile holds max(1, _TILE // n_oscillators) sweeps.
 # It bounds memory only and changes no energy.
 _TILE = 65536
+# Largest particle count sampled.  A tile holds at least one sweep of n
+# doubles, so this bounds draw memory at 8 MiB (and the draw time, which is
+# proportional to n).
+_MAX_OSCILLATORS = 2**20
 
 
 def occupation_energies(uniforms, log_q):
@@ -80,8 +84,11 @@ def sample_energies(
     if sweeps < 1:
         raise DomainError("sweeps must be >= 1")
     n_osc = int(ens.n)
-    if n_osc != ens.n or n_osc < 1:
-        raise DomainError("sampling requires an integer particle count >= 1")
+    if n_osc != ens.n or not 1 <= n_osc <= _MAX_OSCILLATORS:
+        raise DomainError(
+            f"sampling requires an integer particle count in 1..{_MAX_OSCILLATORS}, "
+            f"got {ens.n!r}"
+        )
 
     log_q = -state.beta * ens.a  # log of the geometric ratio q = exp(-beta*a)
     n_chunks = (sweeps + _CHUNK - 1) // _CHUNK
@@ -166,11 +173,16 @@ def empirical_cumulants(
     m = len(run.energies)
     if m < 100:
         raise InsufficientSamples(f"need at least 100 samples, got {m}")
-    estimates = k_statistics(run.energies, order)
     g = min(blocks, m // 10)
-    loo = _leave_out_k_statistics(run.energies, g, order)
-    center = loo.mean(axis=0)
-    se = np.sqrt((g - 1) / g * np.sum((loo - center) ** 2, axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        estimates = k_statistics(run.energies, order)
+        loo = _leave_out_k_statistics(run.energies, g, order)
+        center = loo.mean(axis=0)
+        se = np.sqrt((g - 1) / g * np.sum((loo - center) ** 2, axis=0))
+    if not (np.all(np.isfinite(estimates)) and np.all(np.isfinite(se))):
+        raise DomainError(
+            f"k-statistics up to order {order} of the sampled energies overflow a double"
+        )
     return EmpiricalCumulants(
         order=order, estimates=estimates, standard_errors=se, blocks=g
     )

@@ -10,6 +10,17 @@ with the gamma_k fixed by a triangular linear solve so the first n0 raw
 moments match the prescribed cumulants exactly.  T may dip negative for
 large skew; that is reported as a diagnostic, not an error.
 
+A family of tomograms is matched in one pass over its rows (one row of
+cumulants per angle): the Bell recursion to raw moments and the forward
+substitution for gamma each run once across all rows, with the
+coefficients E[S^n He_k(S)] taken from a cached read-only table.  The
+arithmetic of every row is that of the one-row solve, so each tomogram is
+bit-identical whether it is built alone or in a family.  Two choices keep
+it so: integer powers (cos^m t, sin^m t, sqrt(v)^n) are Python float
+powers, because np.power(x, n) can differ from x**n in the last bit; and
+every sum is accumulated left to right, never by np.sum or a matrix
+product, which add in another order.
+
 The joint quasidensity on the (delta_eps, delta_beta) plane is recovered by
 filtered backprojection,
 
@@ -40,6 +51,7 @@ a single angle.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -48,7 +60,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermeval
 
 from .core import ManifoldPoint
-from .cumulants import CumulantVector, cumulants_to_moments
+from .cumulants import CumulantVector, cumulant_rows_to_moments
 from .errors import (
     DomainError,
     GridTooSmall,
@@ -64,12 +76,18 @@ from .quadrature import radial_rule, uniform_angles
 _BLOCK_ANGLES = 8
 
 
-def _hermite_moment_coeff(n: int, k: int) -> float:
-    """E[S^n He_k(S)] for standard normal S: n! / (2^j j!) with j = (n-k)/2."""
-    if k > n or (n - k) % 2:
-        return 0.0
-    j = (n - k) // 2
-    return math.factorial(n) / (2**j * math.factorial(j))
+@functools.cache
+def _hermite_moment_table(n0: int) -> np.ndarray:
+    """E[S^n He_k(S)] for standard normal S at [n, k], 0 <= n, k <= n0:
+    n! / (2^j j!) with j = (n-k)/2 where k <= n and n-k is even, else 0.
+    Computed once per n0 and shared read-only."""
+    table = np.zeros((n0 + 1, n0 + 1))
+    for n in range(n0 + 1):
+        for k in range(n % 2, n + 1, 2):
+            j = (n - k) // 2
+            table[n, k] = math.factorial(n) / (2**j * math.factorial(j))
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -123,37 +141,81 @@ class Tomogram:
         return float(self.density(z).min())
 
 
+def _float_powers(bases: list, lo: int, hi: int) -> np.ndarray:
+    """x**m for m = lo..hi, one row per base x, as Python float powers
+    (np.power(x, m) may round differently, module docstring)."""
+    return np.array([[x**m for m in range(lo, hi + 1)] for x in bases]).reshape(
+        len(bases), hi - lo + 1
+    )
+
+
+def _match_moments(values: np.ndarray, n0: int):
+    """gamma (rows, n0+1) and matched raw moments (rows, n0) of every row of
+    cumulants kappa_1..kappa_order in values (rows, order).
+
+    Row i solves the triangular system of build_tomogram; the forward
+    substitution runs over all rows at once.  The preconditions are those
+    of build_tomogram, checked on every row.
+    """
+    if not 2 <= n0 <= 8:
+        raise DomainError(f"truncation degree must be in 2..8, got {n0}")
+    if values.shape[1] < n0:
+        raise DomainError("cumulant vector shorter than the truncation degree")
+    v = values[:, 1]
+    if not np.all(v > 0):
+        raise DomainError("tomogram requires a positive variance")
+    if np.any(np.abs(values[:, 0]) > 1e-12 * np.maximum(1.0, np.sqrt(v))):
+        raise DomainError("tomogram input must be centered (kappa_1 = 0)")
+
+    rows = len(values)
+    coeff = _hermite_moment_table(n0)
+    sv_pow = _float_powers([math.sqrt(x) for x in v.tolist()], 3, n0)  # sqrt(v)^n
+    diag = sv_pow * coeff.diagonal()[3:]
+    if np.any(diag == 0.0):
+        raise IllConditioned("degenerate diagonal in moment matching")
+
+    moments = cumulant_rows_to_moments(values[:, :n0])
+    gamma = np.zeros((rows, n0 + 1))
+    terms = np.empty((rows, n0 - 2))
+    for n in range(3, n0 + 1):
+        p = sv_pow[:, n - 3 : n - 2]
+        # sv^n E[S^n] + sum_{3<=k<n} sv^n gamma_k E[S^n He_k], left to right
+        terms[:, :1] = p * coeff[n, 0]
+        terms[:, 1 : n - 2] = p * gamma[:, 3:n] * coeff[n, 3:n]
+        acc = np.cumsum(terms[:, : n - 2], axis=1)[:, -1]
+        gamma[:, n] = (moments[:, n - 1] - acc) / diag[:, n - 3]
+    return gamma, moments
+
+
+def _family(values: np.ndarray, n0: int, angles) -> list:
+    """One tomogram per row of cumulants, matched in a single pass."""
+    gamma, moments = _match_moments(values, n0)
+    return [
+        Tomogram(angle=t, variance=v, n0=n0, gamma=g, moments=m)
+        for t, v, g, m in zip(angles, values[:, 1].tolist(), gamma, moments)
+    ]
+
+
 def build_tomogram(cumulants: CumulantVector, n0: int, angle: float = 0.0) -> Tomogram:
     """Tomogram matched to the first n0 moments of the given cumulants.
 
     Requires a centered input (kappa_1 = 0) with positive variance and
     2 <= n0 <= 8.  The moment-matching system is triangular with diagonal
     n! * v^(n/2) > 0, so it cannot be singular for v > 0 (checked anyway).
+
+    This is the one-row case of the row-vectorised match that builds whole
+    families (module docstring): the raw moments come from the sequential
+    Bell recursion, and gamma_n from the forward substitution
+
+        gamma_n = (m_n - sum_{k<n} sv^n gamma_k E[S^n He_k]) / (sv^n E[S^n He_n])
+
+    with sv = sqrt(v).  sv^n is a Python float power and the sum is taken
+    left to right in k, so a tomogram built here has the same bits as the
+    same row built within a family: np.power may round sv^n differently,
+    and np.sum or a matrix product would add in another order.
     """
-    if not 2 <= n0 <= 8:
-        raise DomainError(f"truncation degree must be in 2..8, got {n0}")
-    if cumulants.order < n0:
-        raise DomainError("cumulant vector shorter than the truncation degree")
-    v = cumulants.kappa(2)
-    if not v > 0:
-        raise DomainError("tomogram requires a positive variance")
-    if abs(cumulants.kappa(1)) > 1e-12 * max(1.0, math.sqrt(v)):
-        raise DomainError("tomogram input must be centered (kappa_1 = 0)")
-
-    centered = CumulantVector(order=n0, values=cumulants.values[:n0].copy())
-    targets = cumulants_to_moments(centered)
-
-    gamma = np.zeros(n0 + 1)
-    sv = math.sqrt(v)
-    for n in range(3, n0 + 1):
-        acc = sv**n * _hermite_moment_coeff(n, 0)
-        for k in range(3, n):
-            acc += sv**n * gamma[k] * _hermite_moment_coeff(n, k)
-        diag = sv**n * _hermite_moment_coeff(n, n)
-        if diag == 0.0:
-            raise IllConditioned("degenerate diagonal in moment matching")
-        gamma[n] = (targets[n - 1] - acc) / diag
-    return Tomogram(angle=angle, variance=v, n0=n0, gamma=gamma, moments=targets)
+    values = np.asarray(cumulants.values, dtype=float)[None, :]
+    return _family(values, n0, [angle])[0]
 
 
 def gaussian_tomogram(variance: float, angle: float = 0.0) -> Tomogram:
@@ -165,12 +227,10 @@ def gaussian_tomogram(variance: float, angle: float = 0.0) -> Tomogram:
 def gaussian_tomogram_family(v: float, v_dual: float, n_theta: int) -> list:
     """Gaussian family with the interpolated variances
     v_t = v cos^2 t + v' sin^2 t on the uniform angle grid."""
-    return [
-        gaussian_tomogram(
-            v * math.cos(t) ** 2 + v_dual * math.sin(t) ** 2, angle=t
-        )
-        for t in uniform_angles(n_theta)
-    ]
+    angles = uniform_angles(n_theta)
+    values = np.zeros((len(angles), 2))
+    values[:, 1] = [v * math.cos(t) ** 2 + v_dual * math.sin(t) ** 2 for t in angles]
+    return _family(values, 2, angles)
 
 
 def homotopy_tomograms(
@@ -195,28 +255,27 @@ def homotopy_tomograms(
     is not jointly consistent, and reconstruction marginals carry O(1e-3)
     moment errors that do not vanish with resolution.  Kept for
     inspecting the per-angle construction itself.
+
+    Either surface is matched in one pass over its stacked rows.
     """
     if surface not in ("consistent", "raw"):
         raise DomainError(f"unknown surface {surface!r}")
     order = max(n0, 2)
-    out = []
+    angles = uniform_angles(n_theta)
     if surface == "raw":
-        for t in uniform_angles(n_theta):
-            kv = angle_cumulants(path, t, order)
-            out.append(build_tomogram(kv, n0, angle=t))
-        return out
+        values = np.array(
+            [angle_cumulants(path, t, order).values for t in angles]
+        ).reshape(len(angles), order)
+        return _family(values, n0, angles)
 
-    k0 = angle_cumulants(path, 0.0, order)
-    k90 = angle_cumulants(path, math.pi / 2.0, order)
-    for t in uniform_angles(n_theta):
-        c, s = math.cos(t), math.sin(t)
-        values = np.zeros(order)
-        values[1] = path.variance_at(t)
-        for m in range(3, order + 1):
-            values[m - 1] = k0.kappa(m) * c**m + k90.kappa(m) * s**m
-        kv = CumulantVector(order=order, values=values)
-        out.append(build_tomogram(kv, n0, angle=t))
-    return out
+    k0 = angle_cumulants(path, 0.0, order).values
+    k90 = angle_cumulants(path, math.pi / 2.0, order).values
+    values = np.zeros((len(angles), order))
+    values[:, 1] = [path.variance_at(t) for t in angles]
+    cos_pow = _float_powers([math.cos(t) for t in angles], 3, order)
+    sin_pow = _float_powers([math.sin(t) for t in angles], 3, order)
+    values[:, 2:] = k0[2:] * cos_pow + k90[2:] * sin_pow
+    return _family(values, n0, angles)
 
 
 def make_grid(sigma_x: float, sigma_y: float, shape=(41, 41), n_sigma: float = 6.0):

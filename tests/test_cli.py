@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermoflux.cli import main
 from thermoflux.verify import SUITES
@@ -13,6 +18,12 @@ def _run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite number {name} in JSON output")
+    return json.loads(text, parse_constant=reject)
 
 
 def test_stats_text(capsys):
@@ -175,6 +186,9 @@ def test_divergent_config_exit_2(capsys):
         # an infinite particle count
         pytest.param(["sample", "--N", "inf", "--sweeps", "200"], id="sample-N-inf"),
         pytest.param(["stats", "--N", "inf", "--json"], id="stats-N-inf"),
+        # one sweep of the draw holds N doubles: refused above 2**20
+        pytest.param(["sample", "--N", "1e300", "--sweeps", "200"], id="sample-N-1e300"),
+        pytest.param(["sample", "--N", "2097152", "--sweeps", "200"], id="sample-N-2**21"),
     ],
 )
 def test_bad_sizes_exit_2(argv, capsys):
@@ -209,6 +223,8 @@ def test_bad_sizes_exit_2(argv, capsys):
             )
             for beta in ("720", "800", "1e4", "1e300")
         ],
+        # an infinite beta is refused before it reaches the JSON config echo
+        pytest.param(["cumulants", "--beta", "inf", "--json"], (2,), id="cumulants-beta-inf"),
     ],
 )
 def test_large_beta_typed_error(argv, codes, capsys):
@@ -229,12 +245,54 @@ def test_large_beta_typed_error(argv, codes, capsys):
         pytest.param(["reconstruct", "--N", "0"], (2,), id="reconstruct-N-0"),
         # eps * (eps + a) underflows to 0
         pytest.param(["stats", "--a", "1e-300", "--beta", "1e300"], (2, 3), id="stats-a-1e-300"),
+        # n**k underflows to 0 (the quotient would be Infinity), and at the
+        # other end n * kappa_k overflows from order 13 on
+        pytest.param(
+            ["cumulants", "--N", "1e-300", "--fluctuation", "--json"], (2, 3),
+            id="cumulants-fluctuation-N-1e-300",
+        ),
+        pytest.param(
+            ["cumulants", "--N", "1e300", "--order", "20", "--json"], (2, 3),
+            id="cumulants-N-1e300",
+        ),
+        # n * lam underflows to 0, so 1/(n lam) is no double
+        *[
+            pytest.param(
+                [command, *family, "--beta", "4.5e-123", "--N", "4.5e-123", "--json"], (2, 3),
+                id=f"{command}-n-lam-underflow",
+            )
+            for command, family in (("stats", []), ("reconstruct", ["--family", "gaussian"]))
+        ],
+        # beta*a = +inf passes the convergence check; beta itself must be finite
+        pytest.param(
+            ["sample", "--a=-1", "--beta=-inf", "--N", "1", "--sweeps", "200", "--json"], (2,),
+            id="sample-beta-minus-inf",
+        ),
+        # occupations near 1e300: the fourth power sums overflow
+        pytest.param(
+            ["sample", "--beta", "1e-300", "--N", "1", "--sweeps", "200", "--json"], (2, 3),
+            id="sample-k-statistics-overflow",
+        ),
     ],
 )
 def test_tiny_value_typed_error(argv, codes, capsys):
     code, _, err = _run(argv[:1] + ["--a", "1", "--beta", "1", "--N", "10"] + argv[1:], capsys)
     assert code in codes
     assert "Traceback" not in err
+
+
+def test_sample_check_zero_standard_error(capsys):
+    # every sampled energy is 0 at beta*a = 700, so each standard error is 0
+    # and a z-score has no finite value: it is null, not Infinity
+    code, out, _ = _run(
+        ["sample", "--a", "1", "--beta", "700", "--N", "5", "--sweeps", "500",
+         "--check", "--json"],
+        capsys,
+    )
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["results"]["standard_errors"] == [0.0] * 4
+    assert doc["diagnostics"]["z_scores"] == [None] * 4
 
 
 @pytest.mark.parametrize("command", ["dual", "homotopy", "tomogram", "reconstruct"])
@@ -278,3 +336,68 @@ def test_byte_identical_output():
     r1 = subprocess.run(cmd, capture_output=True)
     r2 = subprocess.run(cmd, capture_output=True)
     assert r1.stdout == r2.stdout and r1.returncode == 0
+
+
+# --a, --beta and --N: the edge values of the double range and any finite float
+_EDGE_VALUES = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e300, 1.0]
+_SYSTEM_VALUE = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats())
+# each subcommand with its own flags at a small resolution
+_SUBCOMMANDS = st.sampled_from([
+    ["stats"],
+    ["cumulants", "--order", "20"],
+    ["cumulants", "--order", "6", "--fluctuation"],
+    ["dual", "--variant", "remark1"],
+    ["dual", "--variant", "symmetric"],
+    ["homotopy", "--num-t", "5"],
+    ["homotopy", "--num-t", "5", "--variant", "symmetric", "--order", "8"],
+    ["tomogram", "--num-z", "11", "--n0", "8"],
+    ["tomogram", "--num-z", "11", "--variant", "symmetric", "--t", "1"],
+    ["reconstruct", "--n-theta", "32", "--n-r", "8", "--grid-points", "9"],
+    ["reconstruct", "--family", "gaussian", "--n-theta", "32", "--n-r", "8",
+     "--grid-points", "9"],
+    ["reconstruct", "--surface", "raw", "--n-theta", "32", "--n-r", "8",
+     "--grid-points", "9"],
+    ["sample", "--sweeps", "200"],
+    ["sample", "--sweeps", "200", "--check"],
+])
+
+
+def _run_redirected(argv):
+    # capsys is not reset between the examples of one @given test
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_SEED = st.integers(-2, 2**64)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    command=_SUBCOMMANDS, a=_SYSTEM_VALUE, beta=_SYSTEM_VALUE, n=_SYSTEM_VALUE, seed=_SEED
+)
+@example(command=["sample", "--sweeps", "200"], a=1.0, beta=1.0, n=3.0, seed=-1)
+def test_exit_code_contract(command, a, beta, n, seed):
+    # 0 ok, 2 config, 3 numerical: never an uncaught exception, and every
+    # JSON document on stdout is strict JSON (no NaN or Infinity)
+    argv = command[:1] + [f"--a={a!r}", f"--beta={beta!r}", f"--N={n!r}", "--json"]
+    if command[0] == "sample":
+        argv.append(f"--seed={seed}")
+    code, out, _ = _run_redirected(argv + command[1:])
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert out == ""
+    else:
+        _strict_json(out)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(suite=st.sampled_from(sorted(SUITES)), seed=_SEED)
+@example(suite="identities", seed=-1)
+def test_verify_exit_code_contract(suite, seed):
+    # verify alone may exit 1 (an invariant failed)
+    code, out, _ = _run_redirected(["verify", "--json", "--suite", suite, f"--seed={seed}"])
+    assert code in (0, 1, 2, 3)
+    if code != 2:
+        _strict_json(out)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -126,6 +127,25 @@ def test_legendre_phi_value_and_involution():
     assert phi == pytest.approx(LOGZ1, abs=1e-13)
     alpha = ManifoldPoint.from_beta(1.0, ENS1)
     assert alpha.lam * phi2 == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("beta", [20.0, 30.0, 40.0])
+def test_closed_forms_at_large_beta_a(beta):
+    # -log(a/eps) and (1 + eps/a) log1p(a/eps) are both ~ beta*a here and
+    # cancel; so do -beta*eps and s(eps) in the Legendre form of phi
+    a, n = 1.0, 10.0
+    with mpmath.workdps(60):
+        q = mpmath.exp(-mpmath.mpf(beta) * a)
+        nbar = q / (1 - q)
+        s_ref = float((1 + nbar) * mpmath.log1p(nbar) - nbar * mpmath.log(nbar))
+        phi_ref = float(-mpmath.log1p(-q))
+    ens, st = OscillatorEnsemble(a=a, n=n), ThermoState(beta=beta)
+    alpha = ManifoldPoint.from_beta(beta, ens)
+    entropy = entropy_stat(ens, energy_stats(st, ens).mean)
+    assert entropy == pytest.approx(n * s_ref, rel=1e-12, abs=0)
+    assert specific_entropy(alpha.epsilon, ens)[0] == pytest.approx(s_ref, rel=1e-12, abs=0)
+    assert legendre_phi(st, ens)[0] == pytest.approx(phi_ref, rel=1e-12, abs=0)
+    assert log_partition(st, ens) == pytest.approx(n * phi_ref, rel=1e-12, abs=0)
 
 
 def test_legendre_stationarity():

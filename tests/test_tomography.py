@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from thermoflux.core import ManifoldPoint, OscillatorEnsemble
-from thermoflux.cumulants import CumulantVector
-from thermoflux.duality import solve_remark1
+from thermoflux.cumulants import CumulantVector, _binomial_table, cumulants_to_moments
+from thermoflux.duality import solve_remark1, solve_symmetric
 from thermoflux.errors import DomainError, GridTooSmall
-from thermoflux.homotopy import HomotopyPath
+from thermoflux.homotopy import HomotopyPath, angle_cumulants
 from thermoflux.quadrature import gauss_hermite_prob, uniform_angles
 from thermoflux.tomography import (
     QuasiDensityGrid,
+    _hermite_moment_table,
     build_tomogram,
     gaussian_limit,
     gaussian_tomogram,
@@ -275,3 +276,132 @@ def test_grid_exports(tmp_path):
     assert header["grid"]["nx"] == 11
     assert header["h"] == pytest.approx(2.0 / n)
     assert "diagnostics" in header
+
+
+# Scalar reference of the moment match: one angle at a time, as the
+# tomograms were built before the row-vectorised match.
+
+
+def _hermite_moment_coeff(n, k):
+    """E[S^n He_k(S)] for standard normal S: n! / (2^j j!) with j = (n-k)/2."""
+    if k > n or (n - k) % 2:
+        return 0.0
+    j = (n - k) // 2
+    return math.factorial(n) / (2**j * math.factorial(j))
+
+
+def _scalar_moments(values):
+    """Raw moments by the Bell recursion, one cumulant vector at a time."""
+    n = len(values)
+    m = np.zeros(n + 1)
+    m[0] = 1.0
+    for j in range(1, n + 1):
+        m[j] = sum(math.comb(j - 1, k) * values[k] * m[j - 1 - k] for k in range(j))
+    return m[1:]
+
+
+def _scalar_match(values, n0):
+    """(variance, gamma, moments) of one angle's cumulants."""
+    v = float(values[1])
+    moments = _scalar_moments(values[:n0].copy())
+    gamma = np.zeros(n0 + 1)
+    sv = math.sqrt(v)
+    for n in range(3, n0 + 1):
+        acc = sv**n * _hermite_moment_coeff(n, 0)
+        for k in range(3, n):
+            acc += sv**n * gamma[k] * _hermite_moment_coeff(n, k)
+        gamma[n] = (moments[n - 1] - acc) / (sv**n * _hermite_moment_coeff(n, n))
+    return v, gamma, moments
+
+
+def _assert_family_equals_scalar(toms, angles, rows, n0):
+    assert len(toms) == len(angles) == len(rows)
+    ref = [_scalar_match(np.asarray(r, dtype=float), n0) for r in rows]
+    got = {
+        "angle": np.array([t.angle for t in toms]),
+        "variance": np.array([t.variance for t in toms]),
+        "gamma": np.array([t.gamma for t in toms]),
+        "moments": np.array([t.moments for t in toms]),
+    }
+    want = {
+        "angle": np.asarray(angles, dtype=float),
+        "variance": np.array([r[0] for r in ref]),
+        "gamma": np.array([r[1] for r in ref]),
+        "moments": np.array([r[2] for r in ref]),
+    }
+    for key in got:
+        # equal bits, signed zeros included
+        assert np.array_equal(got[key], want[key]), key
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("n_theta", [32, 37, 64])
+def test_gaussian_family_matches_scalar_match(n_theta):
+    angles = uniform_angles(n_theta)
+    for v, v_dual in ((0.02, 0.005), (3.7, 1e-3), (1.0, 1.0)):
+        rows = [[0.0, v * math.cos(t) ** 2 + v_dual * math.sin(t) ** 2] for t in angles]
+        _assert_family_equals_scalar(gaussian_tomogram_family(v, v_dual, n_theta), angles, rows, 2)
+
+
+def _consistent_rows(path, angles, order):
+    k0 = angle_cumulants(path, 0.0, order)
+    k90 = angle_cumulants(path, math.pi / 2.0, order)
+    rows = []
+    for t in angles:
+        c, s = math.cos(t), math.sin(t)
+        values = np.zeros(order)
+        values[1] = path.variance_at(t)
+        for m in range(3, order + 1):
+            values[m - 1] = k0.kappa(m) * c**m + k90.kappa(m) * s**m
+        rows.append(values)
+    return rows
+
+
+@pytest.mark.parametrize("n_theta", [32, 37, 64])
+@pytest.mark.parametrize("surface", ["consistent", "raw"])
+@pytest.mark.parametrize("solver", [solve_remark1, solve_symmetric])
+def test_homotopy_family_matches_scalar_match(solver, surface, n_theta):
+    angles = uniform_angles(n_theta)
+    for a, beta, n in ((1.0, 1.0, 10.0), (0.5, 2.0, 100.0), (2.0, 1.5, 1000.0)):
+        path = HomotopyPath.from_dual_pair(solver(a, beta, n))
+        for n0 in range(2, 9):
+            order = max(n0, 2)
+            if surface == "raw":
+                rows = [angle_cumulants(path, t, order).values for t in angles]
+            else:
+                rows = _consistent_rows(path, angles, order)
+            toms = homotopy_tomograms(path, n_theta, n0, surface=surface)
+            _assert_family_equals_scalar(toms, angles, rows, n0)
+
+
+def test_build_tomogram_matches_scalar_match():
+    rng = np.random.default_rng(12)
+    for i in range(40):
+        values = rng.normal(scale=0.1, size=8)
+        values[0] = -0.0 if i % 2 else 0.0
+        values[1] = abs(values[1]) + 1e-3
+        for n0 in range(2, 9):
+            tom = build_tomogram(_centered(values), n0, angle=0.25)
+            _assert_family_equals_scalar([tom], [0.25], [values], n0)
+
+
+def test_cumulants_to_moments_matches_scalar_recursion():
+    rng = np.random.default_rng(13)
+    for order in (1, 2, 8, 20):
+        values = rng.normal(size=order)
+        got = cumulants_to_moments(_centered(values))
+        assert got.tobytes() == _scalar_moments(values).tobytes()
+
+
+def test_match_tables_are_cached_read_only():
+    for table in (_hermite_moment_table(8), _binomial_table(20)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
+    assert _hermite_moment_table(8) is _hermite_moment_table(8)
+    assert _binomial_table(20) is _binomial_table(20)
+    n0 = 8
+    assert np.array_equal(
+        _hermite_moment_table(n0),
+        [[_hermite_moment_coeff(n, k) for k in range(n0 + 1)] for n in range(n0 + 1)],
+    )
