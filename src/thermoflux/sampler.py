@@ -1,18 +1,15 @@
 """Independent Monte-Carlo oracle for the canonical oscillator ensemble.
 
-Each oscillator occupation is drawn by inversion as a geometric variable,
-n = floor(log(u)/log(q)) with q = exp(-beta*a) and u uniform on (0, 1], so
-any PRNG backend reproduces the run given the same uniform stream.  Sweeps
-are partitioned into chunks of _CHUNK sweeps, each drawn from its own child
-of the spawned seed sequence and evaluated in order.  The chunk length is
-part of the stream: together with (seed, sweeps) it fixes every energy, so
-changing it changes the samples.
+Each oscillator occupation is geometric, P(n) = (1 - q) q**n with
+q = exp(-beta*a), so the total occupation of N independent oscillators is
+exactly negative binomial with N successes of probability 1 - q.  Each sweep
+is one such draw: a run is a single negative_binomial call of numpy's
+default generator, and (seed, sweeps, N, beta*a) alone fix every energy.
 
-Within a chunk the uniforms are drawn and reduced a tile of rows at a time
-into one reused buffer of about _TILE doubles.  PCG64 fills doubles in
-order, so the tiles see exactly the uniforms of one whole-chunk draw, and
-occupation sums are exact integers: the tile size changes no energy.  Draw
-memory is one tile, not chunk x n_oscillators.
+Energies are the total occupations times a.  While the occupations stay
+below 2**53 they are exact integers, so the energies are the correctly
+rounded multiples of a; where numpy cannot draw them (n too large or
+p too small) the run is refused with DomainError.
 
 Standard errors come from a delete-block jackknife evaluated in one pass:
 per-block central power sums about the global mean give every leave-out
@@ -22,6 +19,7 @@ full sample and all leave-out sets at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,35 +27,22 @@ import numpy as np
 from .core import OscillatorEnsemble, ThermoState
 from .errors import DivergentPartition, DomainError, InsufficientSamples
 
-# Sweeps per chunk; each chunk has its own child seed, so this fixes the stream.
-_CHUNK = 16384
-# Doubles per draw tile; a tile holds max(1, _TILE // n_oscillators) sweeps.
-# It bounds memory only and changes no energy.
-_TILE = 65536
-# Largest particle count sampled.  A tile holds at least one sweep of n
-# doubles, so this bounds draw memory at 8 MiB (and the draw time, which is
-# proportional to n).
+# Largest particle count sampled.  It bounds the accepted inputs only: the
+# draw time and memory do not grow with n.
 _MAX_OSCILLATORS = 2**20
-
-
-def occupation_energies(uniforms, log_q):
-    """Total occupation numbers per sweep from a uniform stream.
-
-    uniforms is a float array of shape (sweeps, n_oscillators) with entries
-    in (0, 1]; each entry maps to a geometric occupation
-    floor(log(u)/log(q)).  The work is done in place, so uniforms is
-    overwritten with the occupations.  The result is an exact
-    integer-valued float array.
-    """
-    np.log(uniforms, out=uniforms)
-    np.divide(uniforms, log_q, out=uniforms)
-    np.floor(uniforms, out=uniforms)
-    return uniforms.sum(axis=1)
+# Largest sweep count sampled: the energies then fit in 128 MiB, and the
+# jackknife's (sweeps x 4) power table in 512 MiB.
+_MAX_SWEEPS = 2**24
 
 
 @dataclass(frozen=True)
 class SampleRun:
-    """A completed sampling run; energies are exact multiples of ens.a."""
+    """A completed sampling run.
+
+    energies holds one negative-binomial total occupation per sweep, times
+    ens.a: each is the correctly rounded multiple of a while the occupation
+    is below 2**53.
+    """
 
     seed: int
     sweeps: int
@@ -81,8 +66,8 @@ def sample_energies(
     """Draw `sweeps` i.i.d. total energies of the ensemble."""
     if not state.beta * ens.a > 0:
         raise DivergentPartition("sampling requires beta*a > 0")
-    if sweeps < 1:
-        raise DomainError("sweeps must be >= 1")
+    if not 1 <= sweeps <= _MAX_SWEEPS:
+        raise DomainError(f"sweeps must be in 1..{_MAX_SWEEPS}, got {sweeps}")
     n_osc = int(ens.n)
     if n_osc != ens.n or not 1 <= n_osc <= _MAX_OSCILLATORS:
         raise DomainError(
@@ -90,20 +75,15 @@ def sample_energies(
             f"got {ens.n!r}"
         )
 
-    log_q = -state.beta * ens.a  # log of the geometric ratio q = exp(-beta*a)
-    n_chunks = (sweeps + _CHUNK - 1) // _CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    tile = np.empty((min(max(1, _TILE // n_osc), _CHUNK, sweeps), n_osc))
-    energies = np.empty(sweeps)
-    for i, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        stop = min((i + 1) * _CHUNK, sweeps)
-        for lo in range(i * _CHUNK, stop, len(tile)):
-            u = tile[: min(len(tile), stop - lo)]
-            rng.random(out=u)
-            np.subtract(1.0, u, out=u)  # uniform on (0, 1]
-            energies[lo : lo + len(u)] = occupation_energies(u, log_q)
-    energies *= ens.a
+    p = -math.expm1(-state.beta * ens.a)  # 1 - q without cancellation
+    try:
+        counts = np.random.default_rng(seed).negative_binomial(n_osc, p, size=sweeps)
+    except ValueError:  # numpy: "n too large or p too small"
+        raise DomainError(
+            f"total occupations at N={n_osc}, beta*a={state.beta * ens.a!r} "
+            "are too large to draw"
+        ) from None
+    energies = counts * ens.a
     return SampleRun(seed=seed, sweeps=sweeps, ens=ens, state=state, energies=energies)
 
 

@@ -186,9 +186,10 @@ def test_divergent_config_exit_2(capsys):
         # an infinite particle count
         pytest.param(["sample", "--N", "inf", "--sweeps", "200"], id="sample-N-inf"),
         pytest.param(["stats", "--N", "inf", "--json"], id="stats-N-inf"),
-        # one sweep of the draw holds N doubles: refused above 2**20
+        # particle counts are refused above 2**20, sweep counts above 2**24
         pytest.param(["sample", "--N", "1e300", "--sweeps", "200"], id="sample-N-1e300"),
         pytest.param(["sample", "--N", "2097152", "--sweeps", "200"], id="sample-N-2**21"),
+        pytest.param(["sample", "--sweeps", "100000000000000"], id="sample-sweeps-1e14"),
     ],
 )
 def test_bad_sizes_exit_2(argv, capsys):
@@ -268,11 +269,13 @@ def test_large_beta_typed_error(argv, codes, capsys):
             ["sample", "--a=-1", "--beta=-inf", "--N", "1", "--sweeps", "200", "--json"], (2,),
             id="sample-beta-minus-inf",
         ),
-        # occupations near 1e300: the fourth power sums overflow
+        # occupations near 1e300: too large to draw, or their power sums overflow
         pytest.param(
             ["sample", "--beta", "1e-300", "--N", "1", "--sweeps", "200", "--json"], (2, 3),
             id="sample-k-statistics-overflow",
         ),
+        # total occupations near 1e19: past numpy's negative-binomial range
+        pytest.param(["sample", "--beta", "1e-18", "--sweeps", "200"], (2,), id="sample-beta-1e-18"),
     ],
 )
 def test_tiny_value_typed_error(argv, codes, capsys):

@@ -8,12 +8,7 @@ import pytest
 from thermoflux.core import OscillatorEnsemble, ThermoState
 from thermoflux.cumulants import energy_cumulants
 from thermoflux.errors import DivergentPartition, DomainError, InsufficientSamples
-from thermoflux.sampler import (
-    empirical_cumulants,
-    k_statistics,
-    occupation_energies,
-    sample_energies,
-)
+from thermoflux.sampler import empirical_cumulants, k_statistics, sample_energies
 
 
 def test_seed_determinism():
@@ -27,14 +22,12 @@ def test_seed_determinism():
 
 
 def test_pinned_stream():
-    # the chunk length (16384 sweeps, one child seed each) is part of the
-    # stream: these values fix it, across a chunk boundary and a partial
-    # last chunk (40000 = 2 * 16384 + 7232)
+    # (seed, sweeps, N, beta*a) fix the stream: these values pin it
     run = sample_energies(OscillatorEnsemble(a=1.0, n=20), ThermoState(beta=1.0), sweeps=40000, seed=9)
     assert len(run.energies) == 40000
-    assert list(run.energies[:4]) == [7, 15, 6, 9]
-    assert list(run.energies[16383:16386]) == [19, 10, 8]
-    assert run.energies.sum() == 466464
+    assert list(run.energies[:4]) == [10, 23, 18, 12]
+    assert list(run.energies[16383:16386]) == [14, 15, 11]
+    assert run.energies.sum() == 463885
 
 
 def test_ground_state_limit():
@@ -57,11 +50,16 @@ def test_single_oscillator_mean():
     assert abs(run.energies.mean() - target) < 5 * se
 
 
-def test_occupation_energies_values():
-    u = np.array([[0.5, 0.9], [0.01, 0.999]])
-    log_q = math.log(0.5)
-    # floor(log(u)/log(q)): 0.5 -> 1, 0.9 -> 0, 0.01 -> 6, 0.999 -> 0
-    assert np.array_equal(occupation_energies(u, log_q), [1.0, 6.0])
+def test_draw_follows_negative_binomial_law():
+    # three oscillators at q = 1/2: P(k) = C(k+2, k) q**k (1-q)**3
+    sweeps = 200_000
+    run = sample_energies(
+        OscillatorEnsemble(a=1.0, n=3), ThermoState(beta=math.log(2.0)), sweeps, seed=31
+    )
+    freq = np.bincount(run.energies.astype(np.int64), minlength=21)[:21] / sweeps
+    for k in range(21):
+        pk = math.comb(k + 2, k) * 0.5**k / 8
+        assert abs(freq[k] - pk) < 5 * math.sqrt(pk * (1 - pk) / sweeps), k
 
 
 def test_k_statistics_constant_sequence():
@@ -117,31 +115,6 @@ def test_csv_export(tmp_path):
     assert np.array_equal(values, run.energies)
 
 
-def _reference_energies(a, n, beta, sweeps, seed, chunk=16384):
-    # the whole-chunk draw: one rng.random((rows, n)) per child seed
-    log_q = -beta * a
-    children = np.random.SeedSequence(seed).spawn((sweeps + chunk - 1) // chunk)
-    parts = []
-    for i, child in enumerate(children):
-        rows = min(chunk, sweeps - i * chunk)
-        u = np.random.Generator(np.random.PCG64(child)).random((rows, n))
-        parts.append(np.floor(np.log(1.0 - u) / log_q).sum(1) * a)
-    return np.concatenate(parts)
-
-
-@pytest.mark.parametrize(
-    "a, n, beta, sweeps",
-    [
-        (1.0, 1, 1.0, 40000),  # one tile per chunk, partial last chunk
-        (0.7, 300, 0.8, 16384 + 1000),  # chunks and the run end mid-tile
-        (1.0, 70000, 1.0, 20),  # more oscillators than a tile: one row each
-    ],
-)
-def test_tiled_draw_matches_whole_chunk_draw(a, n, beta, sweeps):
-    run = sample_energies(OscillatorEnsemble(a=a, n=n), ThermoState(beta=beta), sweeps, seed=4)
-    assert np.array_equal(run.energies, _reference_energies(a, n, beta, sweeps, seed=4))
-
-
 def _exact_jackknife_se(occ, g):
     # delete-block jackknife of Fisher k-statistics in exact rational
     # arithmetic, from integer power sums over each leave-out set
@@ -187,5 +160,6 @@ def test_draw_memory_is_one_tile():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a whole-chunk draw would hold 16384 * 300 doubles (39 MB) at least
+    # the draw holds one count and one energy per sweep (1.6 MB here), not
+    # one double per oscillator (240 MB)
     assert peak < 8e6
