@@ -45,7 +45,7 @@ from .duality import (
     solve_symmetric,
     verify_duality,
 )
-from .homotopy import HomotopyPath, PathPoint, angle_cumulants, path_cumulants, path_params
+from .homotopy import HomotopyPath, PathPoint, path_cumulants, path_params
 from .sampler import SampleRun, empirical_cumulants, k_statistics, sample_energies
 from .tomography import (
     QuasiDensityGrid,

@@ -16,6 +16,7 @@ defaults; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -53,7 +54,6 @@ from .homotopy import HomotopyPath, path_cumulants, path_params
 from .sampler import empirical_cumulants, sample_energies
 from .tomography import (
     build_tomogram,
-    gaussian_limit,
     gaussian_tomogram_family,
     homotopy_tomograms,
     make_grid,
@@ -272,17 +272,16 @@ def cmd_homotopy(args):
         )
     out = _resolve(args, "output", "", str)
     header = list(rows[0].keys())
+    lines = [",".join(header)]
+    lines += [",".join(repr(float(row[k])) for k in header) for row in rows]
+    text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(repr(float(row[k])) for k in header) + "\n")
+            fh.write(text)
     if args.json:
         _emit(args, {"rows": rows})
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(repr(float(row[k])) for k in header))
+        sys.stdout.write(text)
     return 0
 
 
@@ -330,7 +329,6 @@ def cmd_reconstruct(args):
     n = _resolve(args, "n")
     variant = _resolve(args, "variant", "remark1", str)
     family = _resolve(args, "family", "homotopy", str)
-    surface = _resolve(args, "surface", "consistent", str)
     n0 = int(_resolve(args, "n0", 4, int))
     n_theta = int(_resolve(args, "n_theta", 64, int))
     n_r = int(_resolve(args, "n_r", 96, int))
@@ -343,7 +341,7 @@ def cmd_reconstruct(args):
         toms = gaussian_tomogram_family(v, vp, n_theta)
     elif family == "homotopy":
         path = HomotopyPath.from_dual_pair(_solve_dual(a, beta, n, variant))
-        toms = homotopy_tomograms(path, n_theta, n0, surface=surface)
+        toms = homotopy_tomograms(path, n_theta, n0)
         v, vp = toms[0].variance, toms[n_theta // 2].variance
     else:
         raise ConfigError(f"family must be 'gaussian' or 'homotopy', got {family!r}")
@@ -351,17 +349,12 @@ def cmd_reconstruct(args):
     h = 2.0 / n  # after the family branch has checked n
     x, y = make_grid(math.sqrt(v), math.sqrt(vp), (grid_points, grid_points), n_sigma)
     grid = reconstruct(toms, h, x, y, n_r=n_r)
-    diagnostics = dict(grid.diagnostics)
-    diagnostics["purity"] = purity(grid)
+    grid = dataclasses.replace(grid, diagnostics={**grid.diagnostics, "purity": purity(grid)})
 
     out = _resolve(args, "output", "", str)
     if out:
         grid.to_csv(out)
-        header = grid.json_header()
-        header["diagnostics"] = diagnostics
-        with open(out + ".json", "w") as fh:
-            json.dump(header, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        grid.to_json(out + ".json")
         if args.gnuplot:
             with open(out + ".gp", "w") as fh:
                 fh.write(_GNUPLOT_GRID.format(path=out))
@@ -372,7 +365,7 @@ def cmd_reconstruct(args):
         "moment_x2": grid.moment_x(2),
         "moment_y2": grid.moment_y(2),
     }
-    _emit(args, results, diagnostics)
+    _emit(args, results, grid.diagnostics)
     return 0
 
 
@@ -486,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, help="cumulant order per row")
     p.set_defaults(func=cmd_homotopy)
 
-    p = sub.add_parser("tomogram", help="single-angle moment-matched density")
+    p = sub.add_parser("tomogram", help="the path's own per-angle tomogram, not the reconstruct family")
     _add_common(p)
     _add_system(p)
     p.add_argument("--variant", choices=["symmetric", "remark1"])
@@ -500,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system(p)
     p.add_argument("--variant", choices=["symmetric", "remark1"])
     p.add_argument("--family", choices=["gaussian", "homotopy"])
-    p.add_argument("--surface", choices=["consistent", "raw"])
     p.add_argument("--n0", type=int)
     p.add_argument("--n-theta", dest="n_theta", type=int)
     p.add_argument("--n-r", dest="n_r", type=int)

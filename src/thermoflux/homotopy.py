@@ -137,25 +137,3 @@ def path_cumulants(path: HomotopyPath, t: float, order: int) -> CumulantVector:
             )
     values[0] = 0.0
     return CumulantVector(order=order, values=values)
-
-
-def reflected_cumulants(path: HomotopyPath, t: float, order: int) -> CumulantVector:
-    """Cumulants at angle t via the antipodal representation.
-
-    The tomogram direction (cos t, sin t) equals -(cos(t-pi), sin(t-pi)),
-    and reflecting the fluctuation variable flips odd cumulants.  Where
-    both branches are defined they agree exactly, because the closed forms
-    send mean_t -> -mean_t into a_t -> -a_t with x_t unchanged.
-    """
-    kv = path_cumulants(path, t - math.pi, order)
-    signs = np.array([(-1.0) ** k for k in range(1, order + 1)])
-    return CumulantVector(order=order, values=kv.values * signs)
-
-
-def angle_cumulants(path: HomotopyPath, t: float, order: int) -> CumulantVector:
-    """Cumulants for the tomogram at angle t in [0, pi), using whichever
-    of the direct or antipodal branch is nondegenerate."""
-    try:
-        return path_cumulants(path, t, order)
-    except DegeneratePoint:
-        return reflected_cumulants(path, t, order)

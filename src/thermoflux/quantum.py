@@ -232,6 +232,8 @@ def propagate(
 
     Quadrature of int G(y, x, t) phi(x) dx over the profile's own grid,
     evaluated on the GH grid of the analytically-placed output envelope.
+    The propagator is unitary, so a result whose squared norm drifts from
+    the input's by more than 1e-8 relative is refused (QuadratureFailure).
     """
     st = math.sin(t)
     if abs(st) < 1e-8:
@@ -242,7 +244,7 @@ def propagate(
     )
     kernel = propagator_kernel(out_nodes[:, None], profile.nodes[None, :], t, h)
     values = kernel @ (profile.qweights * profile.values)
-    return WaveProfile(
+    out = WaveProfile(
         nodes=out_nodes,
         qweights=out_qw,
         values=values,
@@ -251,6 +253,11 @@ def propagate(
         scale=scale,
         meta=meta,
     )
+    norm_in = profile.norm_sq()
+    drift = abs(out.norm_sq() - norm_in)
+    if not drift <= 1e-8 * norm_in:
+        raise QuadratureFailure(f"squared norm drifts by {drift:.2e} at t={t!r} (bound 1e-8)")
+    return out
 
 
 def h_fourier(profile: WaveProfile, h: float, n_nodes: int = 128) -> WaveProfile:

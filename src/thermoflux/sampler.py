@@ -33,6 +33,9 @@ _MAX_OSCILLATORS = 2**20
 # Largest sweep count sampled: the energies then fit in 128 MiB, and the
 # jackknife's (sweeps x 4) power table in 512 MiB.
 _MAX_SWEEPS = 2**24
+# Energies per block of CSV text: the writer's memory then does not grow
+# with the sweep count (one text for a run holds ~100 bytes per sweep).
+_CSV_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,9 @@ class SampleRun:
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("energy\n")
-            for e in self.energies:
-                fh.write(f"{float(e)!r}\n")
+            for lo in range(0, len(self.energies), _CSV_ROWS):
+                block = self.energies[lo : lo + _CSV_ROWS].tolist()
+                fh.write("\n".join(map(repr, block)) + "\n")
 
 
 def sample_energies(

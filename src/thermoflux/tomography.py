@@ -67,7 +67,7 @@ from .errors import (
     IllConditioned,
     QuadratureFailure,
 )
-from .homotopy import HomotopyPath, angle_cumulants
+from .homotopy import HomotopyPath, path_cumulants
 from .quadrature import radial_rule, uniform_angles
 
 # Angles per backprojection block.  At the defaults (n_r = 96, 41 x 41 grid)
@@ -233,43 +233,24 @@ def gaussian_tomogram_family(v: float, v_dual: float, n_theta: int) -> list:
     return _family(values, 2, angles)
 
 
-def homotopy_tomograms(
-    path: HomotopyPath, n_theta: int, n0: int, surface: str = "consistent"
-) -> list:
+def homotopy_tomograms(path: HomotopyPath, n_theta: int, n0: int) -> list:
     """Moment-matched tomogram family driven by the interpolation path.
 
-    surface="consistent" (default): the variance backbone
-    v_t = v cos^2 t + v' sin^2 t is used at every angle, and the order-m
-    corrections ride the homogeneous surface
+    The variance backbone v_t = v cos^2 t + v' sin^2 t is used at every
+    angle, and the order-m corrections are homogeneous in (cos t, sin t),
 
         kappa_m(t) = kappa_m(0) cos^m t + kappa_m(pi/2) sin^m t,
 
     anchored on the path's own cumulants at the two marginal angles (cross
     cumulants are zeroed: the construction supplies no information about
     them).  Such a family is jointly consistent, so the reconstruction
-    reproduces the marginal tomograms to quadrature accuracy.
-
-    surface="raw": per-angle path cumulants everywhere.  The per-angle
-    construction degenerates where the interpolated mean crosses zero;
-    close to that arc its skew/kurtosis blow up like 1/mean_t, the family
-    is not jointly consistent, and reconstruction marginals carry O(1e-3)
-    moment errors that do not vanish with resolution.  Kept for
-    inspecting the per-angle construction itself.
-
-    Either surface is matched in one pass over its stacked rows.
+    reproduces the marginal tomograms to quadrature accuracy.  The family
+    is matched in one pass over its stacked rows.
     """
-    if surface not in ("consistent", "raw"):
-        raise DomainError(f"unknown surface {surface!r}")
     order = max(n0, 2)
     angles = uniform_angles(n_theta)
-    if surface == "raw":
-        values = np.array(
-            [angle_cumulants(path, t, order).values for t in angles]
-        ).reshape(len(angles), order)
-        return _family(values, n0, angles)
-
-    k0 = angle_cumulants(path, 0.0, order).values
-    k90 = angle_cumulants(path, math.pi / 2.0, order).values
+    k0 = path_cumulants(path, 0.0, order).values
+    k90 = path_cumulants(path, math.pi / 2.0, order).values
     values = np.zeros((len(angles), order))
     values[:, 1] = [path.variance_at(t) for t in angles]
     cos_pow = _float_powers([math.cos(t) for t in angles], 3, order)
@@ -328,12 +309,12 @@ class QuasiDensityGrid:
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("x,y,value\n")
-            for i, xi in enumerate(self.x):
-                for j, yj in enumerate(self.y):
-                    fh.write(f"{float(xi)!r},{float(yj)!r},{float(self.values[i, j])!r}\n")
+            ys = self.y.tolist()
+            for xi, row in zip(self.x.tolist(), self.values):  # one text per x
+                fh.write("".join(f"{xi!r},{yj!r},{v!r}\n" for yj, v in zip(ys, row.tolist())))
 
-    def json_header(self) -> dict:
-        return {
+    def to_json(self, path) -> None:
+        header = {
             "grid": {
                 "nx": len(self.x),
                 "ny": len(self.y),
@@ -346,10 +327,8 @@ class QuasiDensityGrid:
             "n0": self.n0,
             "diagnostics": dict(self.diagnostics),
         }
-
-    def to_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.json_header(), fh, sort_keys=True, indent=2)
+            json.dump(header, fh, sort_keys=True, indent=2)
             fh.write("\n")
 
 

@@ -96,6 +96,24 @@ def test_homotopy_table(capsys):
     assert len(lines) == 6
 
 
+def test_homotopy_output_file_matches_stdout(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    code, out, _ = _run(
+        ["homotopy", "--a", "1", "--beta", "1", "--N", "100", "--num-t", "7",
+         "--order", "6", "--output", str(path)],
+        capsys,
+    )
+    assert code == 0
+    assert path.read_text() == out
+
+
+def test_reconstruct_surface_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--a", "1", "--beta", "1", "--N", "10", "--surface", "raw"])
+    assert exc.value.code == 2
+    assert "--surface" in capsys.readouterr().err
+
+
 def test_sample_deterministic_csv(tmp_path, capsys):
     p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     for p in (p1, p2):
@@ -357,8 +375,6 @@ _SUBCOMMANDS = st.sampled_from([
     ["tomogram", "--num-z", "11", "--variant", "symmetric", "--t", "1"],
     ["reconstruct", "--n-theta", "32", "--n-r", "8", "--grid-points", "9"],
     ["reconstruct", "--family", "gaussian", "--n-theta", "32", "--n-r", "8",
-     "--grid-points", "9"],
-    ["reconstruct", "--surface", "raw", "--n-theta", "32", "--n-r", "8",
      "--grid-points", "9"],
     ["sample", "--sweeps", "200"],
     ["sample", "--sweeps", "200", "--check"],

@@ -9,10 +9,8 @@ from thermoflux.duality import solve_remark1, solve_symmetric
 from thermoflux.errors import DegeneratePoint, DomainError, OrderTooLarge
 from thermoflux.homotopy import (
     HomotopyPath,
-    angle_cumulants,
     path_cumulants,
     path_params,
-    reflected_cumulants,
 )
 
 
@@ -125,27 +123,6 @@ def test_degenerate_points():
     with pytest.raises(DegeneratePoint):
         # n*v_0 == mean_0^2 by construction: 100*0.01 = 1^2 (a_t = 0)
         path_params(flat, 0.0)
-
-
-def test_reflection_branch_is_canonical():
-    # direct formal continuation (mean -> -mean) equals the reflected branch
-    _, path = _path()
-    t = 2.9  # degenerate for the direct branch
-    kv = reflected_cumulants(path, t, 6)
-    # reproduce by hand: a_t -> -a_t with x_t unchanged flips odd cumulants
-    mean_t = path.mean_at(t)
-    assert mean_t < 0
-    mirrored = path_cumulants(path, t - math.pi, 6)
-    signs = np.array([(-1.0) ** k for k in range(1, 7)])
-    assert np.array_equal(kv.values, mirrored.values * signs)
-    assert kv.kappa(2) == pytest.approx(path.variance_at(t), rel=1e-12)
-
-
-def test_angle_cumulants_covers_the_circle():
-    _, path = _path()
-    for t in np.linspace(0.0, math.pi, 97, endpoint=False):
-        kv = angle_cumulants(path, float(t), 4)
-        assert kv.kappa(2) == pytest.approx(path.variance_at(float(t)), rel=1e-10)
 
 
 def test_symmetric_path_formal_region():

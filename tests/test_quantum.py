@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thermoflux.errors import DomainError, SingularTime
+from thermoflux.errors import DomainError, QuadratureFailure, SingularTime
 from thermoflux.quadrature import gauss_hermite
 from thermoflux.quantum import (
     CoherentState,
@@ -131,6 +131,16 @@ def test_singular_time():
         propagate(prof, math.pi, h)
     with pytest.raises(SingularTime):
         propagator_kernel(0.0, 0.0, 2 * math.pi, h)
+
+
+@pytest.mark.parametrize("lam, t", [(0.75, 0.449), (0.5, 0.698)])
+def test_propagate_refuses_non_unitary_result(lam, t):
+    # the band guard lets these short times through, but the quadrature
+    # changes the squared norm by 3.6e-5 and 1.6e-6
+    h = 0.1
+    prof = to_profile(GaussianWavePacket(lam=lam, x0=0.3, y0=-0.2, h=h))
+    with pytest.raises(QuadratureFailure, match="squared norm"):
+        propagate(prof, t, h)
 
 
 def test_propagator_kernel_at_halfturn_is_fourier_kernel():

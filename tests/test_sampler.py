@@ -115,6 +115,16 @@ def test_csv_export(tmp_path):
     assert np.array_equal(values, run.energies)
 
 
+def test_csv_bytes_match_looped_writer(tmp_path):
+    # reference: the former one-write-per-energy loop; 20000 sweeps span
+    # three blocks of CSV text
+    run = sample_energies(OscillatorEnsemble(a=0.3, n=7), ThermoState(beta=2.0), sweeps=20000, seed=5)
+    want = "energy\n" + "".join(f"{float(e)!r}\n" for e in run.energies)
+    path = tmp_path / "samples.csv"
+    run.to_csv(path)
+    assert path.read_bytes() == want.encode()
+
+
 def _exact_jackknife_se(occ, g):
     # delete-block jackknife of Fisher k-statistics in exact rational
     # arithmetic, from integer power sums over each leave-out set

@@ -8,7 +8,7 @@ from thermoflux.core import ManifoldPoint, OscillatorEnsemble
 from thermoflux.cumulants import CumulantVector, _binomial_table, cumulants_to_moments
 from thermoflux.duality import solve_remark1, solve_symmetric
 from thermoflux.errors import DomainError, GridTooSmall
-from thermoflux.homotopy import HomotopyPath, angle_cumulants
+from thermoflux.homotopy import HomotopyPath, path_cumulants
 from thermoflux.quadrature import gauss_hermite_prob, uniform_angles
 from thermoflux.tomography import (
     QuasiDensityGrid,
@@ -229,21 +229,6 @@ def test_reconstruct_preconditions():
         reconstruct(toms, 0.02, x, y)
 
 
-def test_homotopy_family_surfaces():
-    pair = solve_remark1(1.0, 1.0, 100.0)
-    path = HomotopyPath.from_dual_pair(pair)
-    cons = homotopy_tomograms(path, 64, 4)
-    raw = homotopy_tomograms(path, 64, 4, surface="raw")
-    # marginal-angle tomograms agree between the surfaces
-    assert np.allclose(cons[0].moments, raw[0].moments, rtol=1e-12)
-    assert np.allclose(cons[32].moments, raw[32].moments, rtol=1e-12)
-    # both carry the same variance backbone
-    for j in (5, 21, 47, 60):
-        assert cons[j].variance == pytest.approx(raw[j].variance, rel=1e-12)
-    with pytest.raises(DomainError):
-        homotopy_tomograms(path, 64, 4, surface="spline")
-
-
 def test_homotopy_reconstruction_moment_fidelity():
     pair = solve_remark1(1.0, 1.0, 100.0)
     path = HomotopyPath.from_dual_pair(pair)
@@ -276,6 +261,29 @@ def test_grid_exports(tmp_path):
     assert header["grid"]["nx"] == 11
     assert header["h"] == pytest.approx(2.0 / n)
     assert "diagnostics" in header
+
+
+def _looped_grid_csv(grid) -> str:
+    # the former one-write-per-value loop
+    lines = ["x,y,value\n"]
+    for i, xi in enumerate(grid.x):
+        for j, yj in enumerate(grid.y):
+            lines.append(f"{float(xi)!r},{float(yj)!r},{float(grid.values[i, j])!r}\n")
+    return "".join(lines)
+
+
+def test_grid_csv_bytes_match_looped_writer(tmp_path):
+    x = np.array([-1e300, -0.0, 5e-324])
+    y = np.array([-2.5, 0.1])
+    values = np.array([[-0.0, 5e-324], [1e300, -3.75], [-1e-310, 0.3]])
+    hand = QuasiDensityGrid(x=x, y=y, values=values, h=0.02, n0=2, diagnostics={})
+    n = 50.0
+    alpha = ManifoldPoint.from_energy(1.0, OscillatorEnsemble(a=1.0, n=n))
+    xg, yg = make_grid(0.1, 0.07, (11, 9), 6.0)
+    for grid in (hand, gaussian_limit(alpha, n, xg, yg)):
+        path = tmp_path / "grid.csv"
+        grid.to_csv(path)
+        assert path.read_bytes() == _looped_grid_csv(grid).encode()
 
 
 # Scalar reference of the moment match: one angle at a time, as the
@@ -344,8 +352,8 @@ def test_gaussian_family_matches_scalar_match(n_theta):
 
 
 def _consistent_rows(path, angles, order):
-    k0 = angle_cumulants(path, 0.0, order)
-    k90 = angle_cumulants(path, math.pi / 2.0, order)
+    k0 = path_cumulants(path, 0.0, order)
+    k90 = path_cumulants(path, math.pi / 2.0, order)
     rows = []
     for t in angles:
         c, s = math.cos(t), math.sin(t)
@@ -358,19 +366,20 @@ def _consistent_rows(path, angles, order):
 
 
 @pytest.mark.parametrize("n_theta", [32, 37, 64])
-@pytest.mark.parametrize("surface", ["consistent", "raw"])
-@pytest.mark.parametrize("solver", [solve_remark1, solve_symmetric])
-def test_homotopy_family_matches_scalar_match(solver, surface, n_theta):
+@pytest.mark.parametrize(
+    "solver",
+    [
+        pytest.param(solve_remark1, id="solve_remark1-consistent"),
+        pytest.param(solve_symmetric, id="solve_symmetric-consistent"),
+    ],
+)
+def test_homotopy_family_matches_scalar_match(solver, n_theta):
     angles = uniform_angles(n_theta)
     for a, beta, n in ((1.0, 1.0, 10.0), (0.5, 2.0, 100.0), (2.0, 1.5, 1000.0)):
         path = HomotopyPath.from_dual_pair(solver(a, beta, n))
         for n0 in range(2, 9):
-            order = max(n0, 2)
-            if surface == "raw":
-                rows = [angle_cumulants(path, t, order).values for t in angles]
-            else:
-                rows = _consistent_rows(path, angles, order)
-            toms = homotopy_tomograms(path, n_theta, n0, surface=surface)
+            rows = _consistent_rows(path, angles, max(n0, 2))
+            toms = homotopy_tomograms(path, n_theta, n0)
             _assert_family_equals_scalar(toms, angles, rows, n0)
 
 
