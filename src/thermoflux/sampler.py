@@ -11,10 +11,11 @@ below 2**53 they are exact integers, so the energies are the correctly
 rounded multiples of a; where numpy cannot draw them (n too large or
 p too small) the run is refused with DomainError.
 
-Standard errors come from a delete-block jackknife evaluated in one pass:
-per-block central power sums about the global mean give every leave-out
-set's moments by subtraction, and one k-statistic formula serves both the
-full sample and all leave-out sets at once.
+Standard errors come from the delete-1 jackknife (Efron & Stein, Ann. Stat.
+9, 1981) evaluated in one pass: each leave-one-out set's central power sums
+about the global mean are the totals less the left-out point's own powers,
+and one k-statistic formula serves both the full sample and all m
+leave-out sets at once.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import DivergentPartition, DomainError, InsufficientSamples
 # draw time and memory do not grow with n.
 _MAX_OSCILLATORS = 2**20
 # Largest sweep count sampled: the energies then fit in 128 MiB, and the
-# jackknife's (sweeps x 4) power table in 512 MiB.
+# jackknife's peak of about 11 doubles per sweep in 1.4 GiB.
 _MAX_SWEEPS = 2**24
 # Energies per block of CSV text: the writer's memory then does not grow
 # with the sweep count (one text for a run holds ~100 bytes per sweep).
@@ -95,8 +96,8 @@ def _k_from_moments(m, mean, m2, m3, m4, order: int) -> np.ndarray:
     """Unbiased k-statistics k_1..k_order from the sample size m, the mean
     and the central moments m2..m4 (each a mean of d**p about the mean).
 
-    The arguments may be equal-shape arrays, one entry per sample; the
-    result then has one row per order.
+    The mean and moments may be equal-shape arrays, one entry per sample;
+    the result then has one row per order.
     """
     out = [mean]
     if order >= 2:
@@ -124,22 +125,34 @@ def k_statistics(x: np.ndarray, order: int = 4) -> np.ndarray:
     return _k_from_moments(m, mean, np.mean(d**2), np.mean(d**3), np.mean(d**4), order)
 
 
-def _leave_out_k_statistics(x: np.ndarray, g: int, order: int) -> np.ndarray:
-    """k-statistics of x with each of its g np.array_split blocks left out,
-    one row per block, from per-block central power sums in one pass."""
-    sizes = np.array([len(part) for part in np.array_split(x, g)])
-    mu = x.mean()
-    d = x - mu
-    # block power sums of d**1..d**4 about the global mean, one row per block
-    block = np.add.reduceat(d[:, None] ** np.arange(1, 5), np.cumsum(sizes) - sizes, axis=0)
-    rest = block.sum(axis=0) - block
-    n = (len(x) - sizes).astype(float)
-    s1, s2, s3, s4 = (rest[:, p] / n for p in range(4))
-    # shift each leave-out set's moments from mu to its own mean mu + s1
-    m2 = s2 - s1 * s1
-    m3 = s3 - 3 * s1 * s2 + 2 * s1**3
-    m4 = s4 - 4 * s1 * s3 + 6 * s1 * s1 * s2 - 3 * s1**4
-    return _k_from_moments(n, mu + s1, m2, m3, m4, order).T
+def _leave_one_out_k_statistics(x: np.ndarray, order: int) -> np.ndarray:
+    """k-statistics of d = x - x.mean() with each point left out in turn,
+    one column per point.
+
+    The shift by the mean moves every leave-out k1 by the same constant and
+    leaves k2..k4 alone, so the jackknife errors are those of x.  Each
+    leave-out set's power sums of d are the totals less the point's own
+    d**p; its moments are then shifted to the set's own mean.  The arrays
+    are updated in place, so at most about 11 doubles per point are held.
+    """
+    m = len(x)
+    d = x - x.mean()
+    own = d.copy()  # d**p of each point, p = 1..4
+    s = []
+    for _ in range(4):
+        rest = own.sum() - own
+        rest /= m - 1
+        s.append(rest)
+        own *= d
+    del d, own
+    s1, s2, s3, s4 = s
+    # shift each leave-out set's moments from 0 to its own mean s1
+    sq = s1 * s1
+    s4 -= 4 * s1 * s3 - 6 * sq * s2 + 3 * sq * sq
+    s3 -= 3 * s1 * s2 - 2 * sq * s1
+    s2 -= sq
+    del sq
+    return _k_from_moments(float(m - 1), s1, s2, s3, s4, order)
 
 
 @dataclass(frozen=True)
@@ -147,26 +160,22 @@ class EmpiricalCumulants:
     order: int
     estimates: np.ndarray
     standard_errors: np.ndarray
-    blocks: int
 
 
-def empirical_cumulants(
-    run: SampleRun, order: int = 4, blocks: int = 50
-) -> EmpiricalCumulants:
-    """k-statistics of the sampled energies with delete-block jackknife SEs."""
+def empirical_cumulants(run: SampleRun, order: int = 4) -> EmpiricalCumulants:
+    """k-statistics of the sampled energies with delete-1 jackknife SEs,
+    sqrt((m-1)/m * sum over the m leave-out sets of (k - mean k)**2)."""
     m = len(run.energies)
     if m < 100:
         raise InsufficientSamples(f"need at least 100 samples, got {m}")
-    g = min(blocks, m // 10)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         estimates = k_statistics(run.energies, order)
-        loo = _leave_out_k_statistics(run.energies, g, order)
-        center = loo.mean(axis=0)
-        se = np.sqrt((g - 1) / g * np.sum((loo - center) ** 2, axis=0))
+        loo = _leave_one_out_k_statistics(run.energies, order)
+        loo -= loo.mean(axis=1, keepdims=True)
+        loo *= loo
+        se = np.sqrt((m - 1) / m * loo.sum(axis=1))
     if not (np.all(np.isfinite(estimates)) and np.all(np.isfinite(se))):
         raise DomainError(
             f"k-statistics up to order {order} of the sampled energies overflow a double"
         )
-    return EmpiricalCumulants(
-        order=order, estimates=estimates, standard_errors=se, blocks=g
-    )
+    return EmpiricalCumulants(order=order, estimates=estimates, standard_errors=se)

@@ -397,7 +397,7 @@ def reconstruct(
     total *= (math.pi / n_theta) / (4.0 * math.pi**2)
 
     imag_residue = float(np.abs(total.imag).max())
-    if imag_residue > imag_tol:
+    if not imag_residue <= imag_tol:  # a NaN residue fails too
         raise QuadratureFailure(
             f"imaginary residue {imag_residue:.3e} exceeds {imag_tol:.1e}"
         )
@@ -455,13 +455,15 @@ def purity(grid: QuasiDensityGrid) -> float:
     my = grid.moment_y(1) / mass
     var_x = grid.moment_x(2) / mass - mx * mx
     var_y = grid.moment_y(2) / mass - my * my
-    if var_x <= 0 or var_y <= 0:
+    # written as not (...) so that a NaN fails the checks
+    if not (var_x > 0 and var_y > 0):
         raise GridTooSmall("grid second moments are not positive")
     half_x = 0.5 * (grid.x[-1] - grid.x[0])
     half_y = 0.5 * (grid.y[-1] - grid.y[0])
-    if half_x < 6.0 * math.sqrt(var_x) * (1.0 - 1e-9) or half_y < 6.0 * math.sqrt(
-        var_y
-    ) * (1.0 - 1e-9):
+    if not (
+        half_x >= 6.0 * math.sqrt(var_x) * (1.0 - 1e-9)
+        and half_y >= 6.0 * math.sqrt(var_y) * (1.0 - 1e-9)
+    ):
         raise GridTooSmall(
             "grid must cover >= 6 standard deviations in each axis"
         )

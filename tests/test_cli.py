@@ -136,6 +136,17 @@ def test_sample_check_zscores(capsys):
     assert max(abs(z) for z in doc["diagnostics"]["z_scores"]) < 6.0
 
 
+def test_sample_check_true_deviation_under_5_sigma(capsys):
+    # k1 deviates 4.45 sigma here; a noisy SE once read 5.30
+    code, out, _ = _run(
+        ["sample", "--check", "--json", "--a", "0.5", "--beta", "1.822287173124336",
+         "--N", "300", "--sweeps", "100000", "--seed", "1736982378"],
+        capsys,
+    )
+    assert code == 0
+    assert all(abs(z) < 5.0 for z in _strict_json(out)["diagnostics"]["z_scores"])
+
+
 def test_reconstruct_writes_artifacts(tmp_path, capsys):
     path = tmp_path / "grid.csv"
     code, out, _ = _run(
@@ -208,6 +219,9 @@ def test_divergent_config_exit_2(capsys):
         pytest.param(["sample", "--N", "1e300", "--sweeps", "200"], id="sample-N-1e300"),
         pytest.param(["sample", "--N", "2097152", "--sweeps", "200"], id="sample-N-2**21"),
         pytest.param(["sample", "--sweeps", "100000000000000"], id="sample-sweeps-1e14"),
+        # numpy's Gauss-Laguerre weights overflow from 187 nodes
+        ["reconstruct", "--n-r", "187"],
+        ["reconstruct", "--n-r", "400"],
     ],
 )
 def test_bad_sizes_exit_2(argv, capsys):
@@ -397,6 +411,15 @@ _SEED = st.integers(-2, 2**64)
     command=_SUBCOMMANDS, a=_SYSTEM_VALUE, beta=_SYSTEM_VALUE, n=_SYSTEM_VALUE, seed=_SEED
 )
 @example(command=["sample", "--sweeps", "200"], a=1.0, beta=1.0, n=3.0, seed=-1)
+# the largest radial rule numpy can build, and the smallest it cannot
+@example(
+    command=["reconstruct", "--n-theta", "32", "--n-r", "186", "--grid-points", "9"],
+    a=1.0, beta=1.0, n=100.0, seed=-1,
+)
+@example(
+    command=["reconstruct", "--n-theta", "32", "--n-r", "187", "--grid-points", "9"],
+    a=1.0, beta=1.0, n=100.0, seed=-1,
+)
 def test_exit_code_contract(command, a, beta, n, seed):
     # 0 ok, 2 config, 3 numerical: never an uncaught exception, and every
     # JSON document on stdout is strict JSON (no NaN or Infinity)

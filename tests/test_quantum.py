@@ -52,6 +52,13 @@ def test_coherent_state_normalized():
     assert np.sum(qw * np.abs(st.psi(x)) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n_nodes", [371, 512])
+def test_profile_refuses_overflowing_rule(n_nodes):
+    # numpy's hermgauss weights are all zero at 371 nodes, non-finite from 372
+    with pytest.raises(DomainError):
+        to_profile(GaussianWavePacket(lam=2.0, x0=0.3, y0=-0.2, h=0.1), n_nodes=n_nodes)
+
+
 def test_packet_profile_normalized():
     prof = to_profile(GaussianWavePacket(lam=2.0, x0=0.3, y0=-0.2, h=0.1))
     assert prof.norm_sq() == pytest.approx(1.0, abs=1e-12)

@@ -155,11 +155,36 @@ def _exact_jackknife_se(occ, g):
 
 
 def test_jackknife_matches_exact_rational():
+    # one block per sweep: the exact delete-1 jackknife
     run = sample_energies(OscillatorEnsemble(a=1.0, n=10), ThermoState(beta=1.0), sweeps=3001, seed=8)
     emp = empirical_cumulants(run, order=4)
-    exact = _exact_jackknife_se(run.energies, emp.blocks)
-    assert emp.blocks == 50
+    exact = _exact_jackknife_se(run.energies, len(run.energies))
     assert np.all(np.abs(emp.standard_errors - exact) <= 1e-12 * exact)
+
+
+@pytest.mark.parametrize(
+    "a, beta, n, seed",
+    [(1.0, 1.0, 300, 1), (0.5, 1.822287173124336, 300, 1736982378), (0.3, 5.0, 7, 4)],
+)
+def test_k1_standard_error_is_sqrt_k2_over_m(a, beta, n, seed):
+    # the delete-1 jackknife SE of the mean is sqrt(k2/m) algebraically
+    run = sample_energies(OscillatorEnsemble(a=a, n=n), ThermoState(beta=beta), sweeps=100_000, seed=seed)
+    emp = empirical_cumulants(run, order=4)
+    want = math.sqrt(emp.estimates[1] / len(run.energies))
+    assert emp.standard_errors[0] == pytest.approx(want, rel=1e-11)
+
+
+def test_jackknife_memory():
+    run = sample_energies(OscillatorEnsemble(a=1.0, n=300), ThermoState(beta=1.0), sweeps=100_000, seed=1)
+    tracemalloc.start()
+    try:
+        empirical_cumulants(run, order=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the leave-out moments are updated in place: about 11 doubles per
+    # sweep (8.8 MB here), not one stacked (sweeps x 4) array per step
+    assert peak < 10e6
 
 
 def test_draw_memory_is_one_tile():

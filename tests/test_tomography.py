@@ -140,6 +140,13 @@ def test_purity_grid_guard():
         purity(grid)
 
 
+def test_purity_refuses_nan_grid():
+    grid = _manual_gaussian_grid(0.02, 0.005, 0.02)
+    grid.values[30, 30] = math.nan
+    with pytest.raises(GridTooSmall):
+        purity(grid)
+
+
 def test_reconstruct_gaussian_roundtrip_small():
     # angle aliasing decays geometrically: ~4e-4 at 32 angles, ~4e-8 at 48
     n = 100.0
