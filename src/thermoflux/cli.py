@@ -7,7 +7,7 @@ JSON is emitted with sorted keys and shortest-roundtrip floats.
 Exit codes: 0 success; 1 a `verify` invariant failed (the report names
 it); 2 invalid configuration (message names the violated precondition);
 3 numerical failure (bracket/quadrature/degeneracy) with a JSON
-diagnostic payload.
+diagnostic payload.  Each error class carries its code as exit_code.
 
 A plain-text config file (key=value per line, '#' comments) can supply
 defaults; explicit flags win.
@@ -37,19 +37,7 @@ from .core import (
 )
 from .cumulants import energy_cumulants, fluctuation_cumulants
 from .duality import solve_remark1, solve_symmetric, verify_duality
-from .errors import (
-    ConfigError,
-    DegeneratePoint,
-    DivergentPartition,
-    DomainError,
-    GridTooSmall,
-    IllConditioned,
-    InsufficientSamples,
-    NoBracket,
-    OrderTooLarge,
-    QuadratureFailure,
-    SingularTime,
-)
+from .errors import ConfigError, ThermofluxError
 from .homotopy import HomotopyPath, path_cumulants, path_params
 from .sampler import empirical_cumulants, sample_energies
 from .tomography import (
@@ -61,22 +49,6 @@ from .tomography import (
     reconstruct,
 )
 from .verify import SUITES, run_suites
-
-_CONFIG_ERRORS = (
-    ConfigError,
-    DivergentPartition,
-    DomainError,
-    OrderTooLarge,
-    InsufficientSamples,
-)
-_NUMERICAL_ERRORS = (
-    NoBracket,
-    QuadratureFailure,
-    DegeneratePoint,
-    GridTooSmall,
-    SingularTime,
-    IllConditioned,
-)
 
 
 def _read_config(path: str) -> dict:
@@ -381,7 +353,7 @@ def cmd_sample(args):
     out = _resolve(args, "output", "", str)
     if out:
         run.to_csv(out)
-    emp = empirical_cumulants(run, order=4)
+    emp = empirical_cumulants(run)
     results = {
         "sweeps": sweeps,
         "seed": seed,
@@ -432,7 +404,9 @@ def cmd_verify(args):
 def _add_common(p):
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--config", help="key=value config file merged under flags")
-    p.add_argument("--units", choices=["internal", "cgs"], help="output units")
+
+
+def _add_output(p):
     p.add_argument("--output", help="write the main artifact to this path")
 
 
@@ -453,10 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="closed-form mean/variance/entropy")
     _add_common(p)
     _add_system(p)
+    p.add_argument("--units", choices=["internal", "cgs"], help="output units")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("cumulants", help="exact energy or fluctuation cumulants")
     _add_common(p)
+    _add_output(p)
     _add_system(p)
     p.add_argument("--order", type=int, help="highest cumulant order (<= 20)")
     p.add_argument(
@@ -472,6 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homotopy", help="tabulate the interpolating family")
     _add_common(p)
+    _add_output(p)
     _add_system(p)
     p.add_argument("--variant", choices=["symmetric", "remark1"])
     p.add_argument("--num-t", dest="num_t", type=int, help="number of t samples")
@@ -481,6 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tomogram", help="the path's own per-angle tomogram, not the reconstruct family")
     _add_common(p)
+    _add_output(p)
     _add_system(p)
     p.add_argument("--variant", choices=["symmetric", "remark1"])
     p.add_argument("--t", type=float, help="tomogram angle")
@@ -490,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="joint quasiprobability grid")
     _add_common(p)
+    _add_output(p)
     _add_system(p)
     p.add_argument("--variant", choices=["symmetric", "remark1"])
     p.add_argument("--family", choices=["gaussian", "homotopy"])
@@ -503,6 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="Monte-Carlo energies and k-statistics")
     _add_common(p)
+    _add_output(p)
     _add_system(p)
     p.add_argument("--sweeps", type=int)
     p.add_argument("--seed", type=int)
@@ -524,13 +504,13 @@ def main(argv=None) -> int:
     try:
         args._config = _read_config(args.config) if args.config else {}
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(payload, sort_keys=True))
-        return 3
+    except ThermofluxError as exc:
+        if exc.exit_code == 3:
+            payload = {"error": type(exc).__name__, "message": str(exc)}
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            print(f"config error: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

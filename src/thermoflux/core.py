@@ -50,16 +50,13 @@ class OscillatorEnsemble:
 
 @dataclass(frozen=True)
 class ThermoState:
-    """Inverse temperature, tagged with how it was fixed."""
+    """Inverse temperature beta, finite, in internal units (k_B = 1)."""
 
     beta: float
-    source: str = "thermostat"  # "thermostat" | "derived"
 
     def __post_init__(self):
         if not math.isfinite(self.beta):
             raise DomainError(f"inverse temperature must be finite, got {self.beta!r}")
-        if self.source not in ("thermostat", "derived"):
-            raise DomainError("source must be 'thermostat' or 'derived'")
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,13 @@ from .core import OscillatorEnsemble, ThermoState, mean_occupation_signed
 from .errors import DivergentPartition, DomainError, OrderTooLarge
 
 MAX_ORDER = 20
+# Step of finite_difference_cumulant's stencil, relative to |beta|.
+_FD_STEP = 2e-2
 
 
-def _check_order(n: int, cap: int = MAX_ORDER) -> None:
-    if not 1 <= n <= cap:
-        raise OrderTooLarge(f"order must be in 1..{cap}, got {n}")
+def _check_order(n: int) -> None:
+    if not 1 <= n <= MAX_ORDER:
+        raise OrderTooLarge(f"order must be in 1..{MAX_ORDER}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -298,24 +300,21 @@ def central_moments(kappa: CumulantVector) -> np.ndarray:
 
 
 def finite_difference_cumulant(
-    state: ThermoState,
-    ens: OscillatorEnsemble,
-    order: int,
-    h_scale: float = 2e-2,
+    state: ThermoState, ens: OscillatorEnsemble, order: int
 ) -> float:
     """Reference K_order from central differences of log Z over beta.
 
     Reproducible oracle, independent of the coefficient-table route:
     n-th central difference at steps h, h/2, h/4 with two Richardson
-    stages (leading error O(h^6)), step h = h_scale * beta.  log Z is
-    evaluated in extended precision: at order 5 the stencil cancels ~12
-    decimal digits, which double precision cannot afford at the 1e-6
-    relative gate (on platforms where long double equals double the
-    oracle loses ~3 digits).
+    stages (leading error O(h^6)), step h = _FD_STEP * |beta| with
+    _FD_STEP = 0.02.  log Z is evaluated in extended precision: at order 5
+    the stencil cancels ~12 decimal digits, which double precision cannot
+    afford at the 1e-6 relative gate (on platforms where long double
+    equals double the oracle loses ~3 digits).
     """
     _check_order(order)
     beta = np.longdouble(state.beta)
-    h = np.longdouble(h_scale) * np.abs(beta)
+    h = np.longdouble(_FD_STEP) * np.abs(beta)
     n, a = np.longdouble(ens.n), np.longdouble(ens.a)
 
     def logz(b):

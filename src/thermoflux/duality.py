@@ -209,7 +209,6 @@ def solve_remark1(a: float, beta: float, n: float) -> DualPair:
 
 @dataclass(frozen=True)
 class DualityReport:
-    equation_residuals: tuple
     variance_product_scaled: float  # Var(de) * Var(de') * n^2, target 1
     imposed_condition_residual: float
 
@@ -238,9 +237,9 @@ def dual_fluctuation_variances(pair: DualPair):
 def verify_duality(pair: DualPair) -> DualityReport:
     """Check a solved pair against its defining system.
 
-    Reports the per-equation residuals, the realized product
-    Var(de)*Var(de')*n^2 against the uncertainty target 1, and the residual
-    of the variant's imposed condition.
+    Reports the realized product Var(de)*Var(de')*n^2 against the
+    uncertainty target 1, and the residual of the variant's imposed
+    condition; the per-equation residuals are pair.residuals.
     """
     v, v_dual = dual_fluctuation_variances(pair)
     product = (v * pair.n) * (v_dual * pair.n_dual)  # each factor is O(1)
@@ -252,7 +251,6 @@ def verify_duality(pair: DualPair) -> DualityReport:
     else:
         imposed = abs(eps_dual - pair.beta)
     return DualityReport(
-        equation_residuals=pair.residuals,
         variance_product_scaled=product,
         imposed_condition_residual=imposed,
     )

@@ -40,7 +40,6 @@ class HomotopyPath:
     nv: float          # n * Var(delta_eps) of the source
     nv_dual: float     # n * Var(delta_eps') of the dual
     n: float
-    formal_dual: bool = False  # dual has a formally negative quantum
 
     @classmethod
     def from_dual_pair(cls, pair: DualPair) -> "HomotopyPath":
@@ -58,7 +57,6 @@ class HomotopyPath:
             nv=pair.n * v,
             nv_dual=pair.n_dual * v_dual,
             n=pair.n,
-            formal_dual=pair.unphysical_spectrum,
         )
 
     @classmethod

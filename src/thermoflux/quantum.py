@@ -23,6 +23,9 @@ import numpy as np
 from .errors import DomainError, QuadratureFailure, SingularTime
 from .quadrature import gauss_hermite
 
+# Gauss-Hermite nodes of the output grid of propagate and h_fourier.
+_OUTPUT_NODES = 128
+
 
 @dataclass(frozen=True)
 class CoherentState:
@@ -120,16 +123,14 @@ class WaveProfile:
 
     qweights are plain integration weights: int f(x) dx ~= sum qw_i f(x_i)
     for f decaying at least like the envelope.  scale is the grid scale s
-    in nodes = center + s*xi.  meta carries the source packet parameters
-    and the accumulated rotation angle, used only for placing the next
-    output grid.
+    in nodes = c + s*xi, with c the envelope's center.  meta carries the
+    source packet parameters and the accumulated rotation angle, used only
+    for placing the next output grid.
     """
 
     nodes: np.ndarray
     qweights: np.ndarray
     values: np.ndarray
-    center: float
-    sigma: float
     scale: float
     meta: tuple | None = None  # (lam, x0, y0, accumulated_angle)
 
@@ -163,8 +164,6 @@ def to_profile(packet: GaussianWavePacket, n_nodes: int = 128) -> WaveProfile:
         nodes=nodes,
         qweights=qweights,
         values=packet(nodes),
-        center=packet.x0,
-        sigma=math.sqrt(0.5 * packet.h / packet.lam),
         scale=scale,
         meta=(packet.lam, packet.x0, packet.y0, 0.0),
     )
@@ -210,7 +209,7 @@ def _band_limit(profile: WaveProfile, sin_t: float, h: float) -> float:
     return b_max * h * abs(sin_t) / profile.scale
 
 
-def _truncated_output(profile, c_out, lam_out, sin_t, h, n_nodes):
+def _truncated_output(profile, c_out, lam_out, sin_t, h):
     sigma_out = math.sqrt(0.5 * h / lam_out)
     band = _band_limit(profile, sin_t, h)
     # 6.5 sigma keeps norm/variance truncation below ~1e-12/1e-8
@@ -220,18 +219,17 @@ def _truncated_output(profile, c_out, lam_out, sin_t, h, n_nodes):
             "increase the input node count"
         )
     scale = math.sqrt(2.0 * h / lam_out)
-    nodes, qweights = _grid_for(c_out, scale, n_nodes)
+    nodes, qweights = _grid_for(c_out, scale, _OUTPUT_NODES)
     keep = np.abs(nodes - c_out) <= band
-    return nodes[keep], qweights[keep], scale, sigma_out
+    return nodes[keep], qweights[keep], scale
 
 
-def propagate(
-    profile: WaveProfile, t: float, h: float, n_nodes: int = 128
-) -> WaveProfile:
+def propagate(profile: WaveProfile, t: float, h: float) -> WaveProfile:
     """Numerically propagate a sampled wave by angle t.
 
     Quadrature of int G(y, x, t) phi(x) dx over the profile's own grid,
-    evaluated on the GH grid of the analytically-placed output envelope.
+    evaluated on the _OUTPUT_NODES = 128 node GH grid of the
+    analytically-placed output envelope.
     The propagator is unitary, so a result whose squared norm drifts from
     the input's by more than 1e-8 relative is refused (QuadratureFailure).
     """
@@ -239,19 +237,11 @@ def propagate(
     if abs(st) < 1e-8:
         raise SingularTime(f"propagation singular at t = {t!r}")
     c_out, lam_out, meta = _output_window(profile, t, h)
-    out_nodes, out_qw, scale, sigma = _truncated_output(
-        profile, c_out, lam_out, st, h, n_nodes
-    )
+    out_nodes, out_qw, scale = _truncated_output(profile, c_out, lam_out, st, h)
     kernel = propagator_kernel(out_nodes[:, None], profile.nodes[None, :], t, h)
     values = kernel @ (profile.qweights * profile.values)
     out = WaveProfile(
-        nodes=out_nodes,
-        qweights=out_qw,
-        values=values,
-        center=c_out,
-        sigma=sigma,
-        scale=scale,
-        meta=meta,
+        nodes=out_nodes, qweights=out_qw, values=values, scale=scale, meta=meta
     )
     norm_in = profile.norm_sq()
     drift = abs(out.norm_sq() - norm_in)
@@ -260,22 +250,15 @@ def propagate(
     return out
 
 
-def h_fourier(profile: WaveProfile, h: float, n_nodes: int = 128) -> WaveProfile:
+def h_fourier(profile: WaveProfile, h: float) -> WaveProfile:
     """h-scaled Fourier transform
-    (2 pi e^{i pi/2} h)^(-1/2) int exp(-i y x / h) phi(x) dx."""
+    (2 pi e^{i pi/2} h)^(-1/2) int exp(-i y x / h) phi(x) dx, on the
+    output grid of propagate."""
     c_out, lam_out, meta = _output_window(profile, math.pi / 2.0, h)
-    out_nodes, out_qw, scale, sigma = _truncated_output(
-        profile, c_out, lam_out, 1.0, h, n_nodes
-    )
+    out_nodes, out_qw, scale = _truncated_output(profile, c_out, lam_out, 1.0, h)
     pref = 1.0 / np.sqrt(1j * 2.0 * math.pi * h)
     kernel = pref * np.exp(-1j * out_nodes[:, None] * profile.nodes[None, :] / h)
     values = kernel @ (profile.qweights * profile.values)
     return WaveProfile(
-        nodes=out_nodes,
-        qweights=out_qw,
-        values=values,
-        center=c_out,
-        sigma=sigma,
-        scale=scale,
-        meta=meta,
+        nodes=out_nodes, qweights=out_qw, values=values, scale=scale, meta=meta
     )

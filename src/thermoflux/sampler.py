@@ -28,9 +28,6 @@ import numpy as np
 from .core import OscillatorEnsemble, ThermoState
 from .errors import DivergentPartition, DomainError, InsufficientSamples
 
-# Largest particle count sampled.  It bounds the accepted inputs only: the
-# draw time and memory do not grow with n.
-_MAX_OSCILLATORS = 2**20
 # Largest sweep count sampled: the energies then fit in 128 MiB, and the
 # jackknife's peak of about 11 doubles per sweep in 1.4 GiB.
 _MAX_SWEEPS = 2**24
@@ -74,58 +71,51 @@ def sample_energies(
     if not 1 <= sweeps <= _MAX_SWEEPS:
         raise DomainError(f"sweeps must be in 1..{_MAX_SWEEPS}, got {sweeps}")
     n_osc = int(ens.n)
-    if n_osc != ens.n or not 1 <= n_osc <= _MAX_OSCILLATORS:
-        raise DomainError(
-            f"sampling requires an integer particle count in 1..{_MAX_OSCILLATORS}, "
-            f"got {ens.n!r}"
-        )
+    if n_osc != ens.n:
+        raise DomainError(f"sampling requires an integer particle count, got {ens.n!r}")
 
     p = -math.expm1(-state.beta * ens.a)  # 1 - q without cancellation
     try:
         counts = np.random.default_rng(seed).negative_binomial(n_osc, p, size=sweeps)
     except ValueError:  # numpy: "n too large or p too small"
         raise DomainError(
-            f"total occupations at N={n_osc}, beta*a={state.beta * ens.a!r} "
+            f"total occupations at N={ens.n!r}, beta*a={state.beta * ens.a!r} "
             "are too large to draw"
         ) from None
     energies = counts * ens.a
     return SampleRun(seed=seed, sweeps=sweeps, ens=ens, state=state, energies=energies)
 
 
-def _k_from_moments(m, mean, m2, m3, m4, order: int) -> np.ndarray:
-    """Unbiased k-statistics k_1..k_order from the sample size m, the mean
-    and the central moments m2..m4 (each a mean of d**p about the mean).
+def _k_from_moments(m, mean, m2, m3, m4) -> np.ndarray:
+    """Unbiased k-statistics k_1..k_4 from the sample size m, the mean and
+    the central moments m2..m4 (each a mean of d**p about the mean).
 
     The mean and moments may be equal-shape arrays, one entry per sample;
     the result then has one row per order.
     """
-    out = [mean]
-    if order >= 2:
-        out.append(m * m2 / (m - 1))
-    if order >= 3:
-        out.append(m * m * m3 / ((m - 1) * (m - 2)))
-    if order >= 4:
-        out.append(
+    return np.array(
+        [
+            mean,
+            m * m2 / (m - 1),
+            m * m * m3 / ((m - 1) * (m - 2)),
             m * m * ((m + 1) * m4 - 3 * (m - 1) * m2 * m2)
-            / ((m - 1) * (m - 2) * (m - 3))
-        )
-    return np.array(out[:order])
+            / ((m - 1) * (m - 2) * (m - 3)),
+        ]
+    )
 
 
-def k_statistics(x: np.ndarray, order: int = 4) -> np.ndarray:
-    """Unbiased k-statistics k_1..k_order (order <= 4) of a sample."""
-    if not 1 <= order <= 4:
-        raise DomainError("k-statistics implemented for order 1..4")
+def k_statistics(x: np.ndarray) -> np.ndarray:
+    """Unbiased k-statistics k_1..k_4 of a sample."""
     x = np.asarray(x, dtype=float)
     m = len(x)
-    if m < order + 1:
-        raise InsufficientSamples(f"need at least {order + 1} samples, got {m}")
+    if m < 5:
+        raise InsufficientSamples(f"need at least 5 samples, got {m}")
     mean = x.mean()
     d = x - mean
-    return _k_from_moments(m, mean, np.mean(d**2), np.mean(d**3), np.mean(d**4), order)
+    return _k_from_moments(m, mean, np.mean(d**2), np.mean(d**3), np.mean(d**4))
 
 
-def _leave_one_out_k_statistics(x: np.ndarray, order: int) -> np.ndarray:
+def _leave_one_out_k_statistics(x: np.ndarray) -> np.ndarray:
     """k-statistics of d = x - x.mean() with each point left out in turn,
     one column per point.
 
@@ -152,30 +142,30 @@ def _leave_one_out_k_statistics(x: np.ndarray, order: int) -> np.ndarray:
     s3 -= 3 * s1 * s2 - 2 * sq * s1
     s2 -= sq
     del sq
-    return _k_from_moments(float(m - 1), s1, s2, s3, s4, order)
+    return _k_from_moments(float(m - 1), s1, s2, s3, s4)
 
 
 @dataclass(frozen=True)
 class EmpiricalCumulants:
-    order: int
     estimates: np.ndarray
     standard_errors: np.ndarray
 
 
-def empirical_cumulants(run: SampleRun, order: int = 4) -> EmpiricalCumulants:
-    """k-statistics of the sampled energies with delete-1 jackknife SEs,
-    sqrt((m-1)/m * sum over the m leave-out sets of (k - mean k)**2)."""
+def empirical_cumulants(run: SampleRun) -> EmpiricalCumulants:
+    """k-statistics k_1..k_4 of the sampled energies with delete-1
+    jackknife SEs, sqrt((m-1)/m * sum over the m leave-out sets of
+    (k - mean k)**2)."""
     m = len(run.energies)
     if m < 100:
         raise InsufficientSamples(f"need at least 100 samples, got {m}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        estimates = k_statistics(run.energies, order)
-        loo = _leave_one_out_k_statistics(run.energies, order)
+        estimates = k_statistics(run.energies)
+        loo = _leave_one_out_k_statistics(run.energies)
         loo -= loo.mean(axis=1, keepdims=True)
         loo *= loo
         se = np.sqrt((m - 1) / m * loo.sum(axis=1))
     if not (np.all(np.isfinite(estimates)) and np.all(np.isfinite(se))):
         raise DomainError(
-            f"k-statistics up to order {order} of the sampled energies overflow a double"
+            "k-statistics up to order 4 of the sampled energies overflow a double"
         )
-    return EmpiricalCumulants(order=order, estimates=estimates, standard_errors=se)
+    return EmpiricalCumulants(estimates=estimates, standard_errors=se)

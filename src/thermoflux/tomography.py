@@ -74,6 +74,11 @@ from .quadrature import radial_rule, uniform_angles
 # each phase factor of a block is 41 x 768 complex, 0.5 MB, against 5 MB
 # for the per-angle phase array of the unfactored sum.
 _BLOCK_ANGLES = 8
+# Largest imaginary residue a backprojection may leave (reconstruct).
+_IMAG_TOL = 1e-6
+# Tomogram.min_density scans this many points over +/- this many sd.
+_MIN_SCAN_POINTS = 2001
+_MIN_SCAN_SIGMAS = 8.0
 
 
 @functools.cache
@@ -134,10 +139,12 @@ class Tomogram:
         k = np.asarray(k, dtype=float)
         return np.exp(-0.5 * self.variance * k * k) * self.char_poly(k)
 
-    def min_density(self, n_scan: int = 2001, n_sigma: float = 8.0) -> float:
-        """Smallest density value over +/- n_sigma; negative means the
-        truncated expansion is not a proper density there (diagnostic)."""
-        z = np.linspace(-n_sigma, n_sigma, n_scan) * math.sqrt(self.variance)
+    def min_density(self) -> float:
+        """Smallest density value at _MIN_SCAN_POINTS = 2001 uniform points
+        over +/- _MIN_SCAN_SIGMAS = 8 standard deviations; negative means
+        the truncated expansion is not a proper density there (diagnostic)."""
+        z = np.linspace(-_MIN_SCAN_SIGMAS, _MIN_SCAN_SIGMAS, _MIN_SCAN_POINTS)
+        z = z * math.sqrt(self.variance)
         return float(self.density(z).min())
 
 
@@ -346,14 +353,14 @@ def reconstruct(
     x: np.ndarray,
     y: np.ndarray,
     n_r: int = 96,
-    imag_tol: float = 1e-6,
 ) -> QuasiDensityGrid:
     """Filtered backprojection of a uniform tomogram family over [0, pi).
 
     The radial integral uses the Gauss rule for |r|exp(-v_t r^2/2) (n_r
     positive nodes, each standing for a +/- pair); the angle integral is
     the periodic trapezoid rule.  The result is real up to roundoff; the
-    imaginary residue is reported and must stay below imag_tol.
+    imaginary residue is reported and must not exceed _IMAG_TOL = 1e-6
+    (QuadratureFailure).
 
     The sum is evaluated in blocks of _BLOCK_ANGLES consecutive angles.
     Each block contributes (E_x * coeff) @ E_y.T with the separable phase
@@ -397,9 +404,9 @@ def reconstruct(
     total *= (math.pi / n_theta) / (4.0 * math.pi**2)
 
     imag_residue = float(np.abs(total.imag).max())
-    if not imag_residue <= imag_tol:  # a NaN residue fails too
+    if not imag_residue <= _IMAG_TOL:  # a NaN residue fails too
         raise QuadratureFailure(
-            f"imaginary residue {imag_residue:.3e} exceeds {imag_tol:.1e}"
+            f"imaginary residue {imag_residue:.3e} exceeds {_IMAG_TOL:.1e}"
         )
     values = np.ascontiguousarray(total.real)
     n0 = max(t.n0 for t in tomograms)

@@ -30,11 +30,13 @@ from .cumulants import (
 from .duality import phi, solve_remark1, solve_symmetric, verify_duality
 from .homotopy import HomotopyPath, path_cumulants, path_params
 from .quantum import (
+    CoherentState,
     GaussianWavePacket,
     gaussian_evolution_params,
     h_fourier,
     propagate,
     to_profile,
+    wigner_coherent,
 )
 from .sampler import empirical_cumulants, sample_energies
 from .tomography import (
@@ -197,7 +199,7 @@ def suite_sampler(seed: int):
     ens = OscillatorEnsemble(a=1.0, n=100)
     st = ThermoState(beta=1.0)
     run = sample_energies(ens, st, sweeps=100_000, seed=seed)
-    emp = empirical_cumulants(run, order=4)
+    emp = empirical_cumulants(run)
     kv = energy_cumulants(st, ens, 4)
     z = np.abs(emp.estimates - kv.values) / emp.standard_errors
     lattice_ok = bool(np.all(run.energies >= 0) and np.all(run.energies % ens.a == 0))
@@ -259,7 +261,36 @@ def suite_quantum(seed: int = 0):
     results.append(("width-evolution", worst_w < 1e-6, f"max dev {worst_w:.2e}"))
     norm_dev = abs(propagate(prof, 1.1, h).norm_sq() - 1.0)
     results.append(("unitarity", norm_dev < 1e-8, f"|norm-1| {norm_dev:.2e}"))
+    worst_p = max(
+        _pauli_deviation(beta_a, n) for beta_a in (0.5, 1.0, 3.0) for n in (10.0, 100.0)
+    )
+    results.append(
+        ("pauli-correspondence", worst_p < 1e-12, f"max dev {worst_p:.2e} of the peak")
+    )
     return results
+
+
+def _pauli_deviation(beta_a: float, n: float) -> float:
+    """Largest deviation, as a fraction of the peak, of the quantum objects
+    at hbar = h = 2/n and width lam = ManifoldPoint.lam from the thermal
+    ones at a = 1: the coherent state's Wigner function from 2 pi h times
+    gaussian_limit, and |psi|^2 of the packet and of its h-Fourier
+    transform from the Gaussian tomograms at angles 0 and pi/2."""
+    h = 2.0 / n
+    alpha = ManifoldPoint.from_beta(beta_a, OscillatorEnsemble(a=1.0, n=n))
+    fl = quasi_fluctuations(alpha, n)
+    x, y = make_grid(math.sqrt(fl.variance_eps), math.sqrt(fl.variance_beta), (41, 41), 6.0)
+    thermal = 2.0 * math.pi * h * gaussian_limit(alpha, n, x, y).values
+    coherent = CoherentState(p0=0.0, q0=0.0, lam=2.0 * alpha.lam, hbar=h)
+    wigner = wigner_coherent(coherent, p=y[None, :], q=x[:, None])
+    worst = float(np.abs(thermal - wigner).max() / thermal.max())
+
+    toms = gaussian_tomogram_family(fl.variance_eps, fl.variance_beta, 64)
+    prof = to_profile(GaussianWavePacket(lam=alpha.lam, x0=0.0, y0=0.0, h=h))
+    for wave, tom in ((prof, toms[0]), (h_fourier(prof, h), toms[32])):
+        ref = tom.density(wave.nodes)
+        worst = max(worst, float(np.abs(np.abs(wave.values) ** 2 - ref).max() / ref.max()))
+    return worst
 
 
 SUITES = {

@@ -115,7 +115,7 @@ def test_c04_monte_carlo_oracle():
     ens = OscillatorEnsemble(a=1.0, n=100)
     st = ThermoState(beta=1.0)
     run = sample_energies(ens, st, sweeps=100_000, seed=20240)
-    emp = empirical_cumulants(run, order=4)
+    emp = empirical_cumulants(run)
     kv = energy_cumulants(st, ens, 4)
     z = np.abs(emp.estimates - kv.values) / emp.standard_errors
     _report(4, bool(np.all(z < 5.0)),

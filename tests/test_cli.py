@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermoflux.cli import main
+from thermoflux import cli, errors
+from thermoflux.cli import build_parser, main
 from thermoflux.verify import SUITES
 
 
@@ -105,6 +108,55 @@ def test_homotopy_output_file_matches_stdout(tmp_path, capsys):
     )
     assert code == 0
     assert path.read_text() == out
+
+
+def _subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _dests(sub):
+    return [a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+
+
+def test_flag_count():
+    assert sum(len(_dests(sub)) for sub in _subparsers().values()) == 67
+
+
+def test_every_flag_is_read():
+    # a flag counts as read where its cmd_* function, or a cli helper it
+    # calls, names args.<dest> or "<dest>"; _emit reads --json, main --config
+    for name, sub in _subparsers().items():
+        func = sub.get_default("func")
+        helpers = [
+            getattr(cli, n) for n in func.__code__.co_names
+            if n.startswith("_") and inspect.isfunction(getattr(cli, n, None))
+        ]
+        source = "".join(inspect.getsource(f) for f in [func, *helpers])
+        for dest in _dests(sub):
+            if dest == "config" or (name, dest) == ("dual", "json"):
+                continue  # main reads --config; dual prints JSON either way
+            assert f"args.{dest}" in source or f'"{dest}"' in source, (name, dest)
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        *[(c, "--units") for c in
+          ("cumulants", "dual", "homotopy", "tomogram", "reconstruct", "sample", "verify")],
+        *[(c, "--output") for c in ("stats", "dual", "verify")],
+    ],
+)
+def test_removed_flags_exit_2(command, flag, tmp_path, capsys):
+    value = "cgs" if flag == "--units" else str(tmp_path / "out.csv")
+    system = [] if command == "verify" else ["--a", "1", "--beta", "1", "--N", "10"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *system, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_reconstruct_surface_flag_is_gone(capsys):
@@ -215,9 +267,11 @@ def test_divergent_config_exit_2(capsys):
         # an infinite particle count
         pytest.param(["sample", "--N", "inf", "--sweeps", "200"], id="sample-N-inf"),
         pytest.param(["stats", "--N", "inf", "--json"], id="stats-N-inf"),
-        # particle counts are refused above 2**20, sweep counts above 2**24
+        # totals numpy cannot draw, and sweep counts above 2**24
         pytest.param(["sample", "--N", "1e300", "--sweeps", "200"], id="sample-N-1e300"),
-        pytest.param(["sample", "--N", "2097152", "--sweeps", "200"], id="sample-N-2**21"),
+        pytest.param(
+            ["sample", "--N", "1e18", "--beta", "0.001", "--sweeps", "200"], id="sample-N-1e18"
+        ),
         pytest.param(["sample", "--sweeps", "100000000000000"], id="sample-sweeps-1e14"),
         # numpy's Gauss-Laguerre weights overflow from 187 nodes
         ["reconstruct", "--n-r", "187"],
@@ -229,6 +283,56 @@ def test_bad_sizes_exit_2(argv, capsys):
     code, out, err = _run(argv[:1] + ["--a", "1", "--beta", "1", "--N", "10"] + argv[1:], capsys)
     assert code == 2
     assert err.startswith("config error:") and out == ""
+
+
+def test_sample_particle_count_above_2_pow_20(capsys):
+    code, out, _ = _run(
+        ["sample", "--a", "1", "--beta", "1", "--N", "1048577", "--sweeps", "200", "--json"],
+        capsys,
+    )
+    assert code == 0
+    assert _strict_json(out)["results"]["k_statistics"][0] > 0
+
+
+# every error class, with the exit code and output stream it maps to
+_ERROR_EXITS = [
+    (errors.ConfigError, 2),
+    (errors.DivergentPartition, 2),
+    (errors.DomainError, 2),
+    (errors.OrderTooLarge, 2),
+    (errors.InsufficientSamples, 2),
+    (errors.NoBracket, 3),
+    (errors.QuadratureFailure, 3),
+    (errors.DegeneratePoint, 3),
+    (errors.GridTooSmall, 3),
+    (errors.SingularTime, 3),
+    (errors.IllConditioned, 3),
+]
+
+
+@pytest.mark.parametrize("cls, code", _ERROR_EXITS, ids=[c.__name__ for c, _ in _ERROR_EXITS])
+def test_error_class_exit_code(cls, code, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise cls("forced")
+
+    monkeypatch.setattr(cli, "energy_stats", fail)
+    got, out, err = _run(["stats", "--a", "1", "--beta", "1", "--N", "1", "--json"], capsys)
+    assert got == code
+    if code == 3:
+        assert err == ""
+        assert json.loads(out) == {"error": cls.__name__, "message": "forced"}
+    else:
+        assert out == "" and err == "config error: forced\n"
+
+
+def test_error_classes_are_all_mapped():
+    def concrete(cls):
+        subs = cls.__subclasses__()
+        return [c for s in subs for c in concrete(s)] if subs else [cls]
+
+    assert sorted(c.__name__ for c in concrete(errors.ThermofluxError)) == sorted(
+        c.__name__ for c, _ in _ERROR_EXITS
+    )
 
 
 @pytest.mark.parametrize(

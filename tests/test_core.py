@@ -206,6 +206,4 @@ def test_type_invariants():
         OscillatorEnsemble(a=0.0, n=1.0)
     with pytest.raises(DomainError):
         OscillatorEnsemble(a=1.0, n=0.0)
-    with pytest.raises(DomainError):
-        ThermoState(beta=1.0, source="oracle")
     assert not OscillatorEnsemble(a=-1.0, n=1.0).physical_spectrum

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from thermoflux.core import ManifoldPoint, OscillatorEnsemble, quasi_fluctuations
 from thermoflux.errors import DomainError, QuadratureFailure, SingularTime
 from thermoflux.quadrature import gauss_hermite
 from thermoflux.quantum import (
@@ -15,6 +16,8 @@ from thermoflux.quantum import (
     to_profile,
     wigner_coherent,
 )
+from thermoflux.tomography import gaussian_limit, gaussian_tomogram_family, make_grid
+from thermoflux.verify import suite_quantum
 
 
 def _wigner_quad(state, f, n=80):
@@ -164,8 +167,6 @@ def test_generic_profile_needs_metadata():
         nodes=prof.nodes,
         qweights=prof.qweights,
         values=prof.values,
-        center=prof.center,
-        sigma=prof.sigma,
         scale=prof.scale,
         meta=None,
     )
@@ -180,3 +181,28 @@ def test_type_guards():
         GaussianWavePacket(lam=1.0, x0=0.0, y0=0.0, h=0.0)
     with pytest.raises(DomainError):
         gaussian_evolution_params(0.0, 0.0, -2.0, 0.3)
+
+
+@pytest.mark.parametrize("beta_a", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("n", [10.0, 100.0])
+def test_pauli_correspondence(beta_a, n):
+    # the thermal objects at a = 1 are the quantum ones at hbar = h = 2/n
+    # for a packet of width lam (the paper's 2 k_B / N in the role of hbar)
+    h = 2.0 / n
+    alpha = ManifoldPoint.from_beta(beta_a, OscillatorEnsemble(a=1.0, n=n))
+    fl = quasi_fluctuations(alpha, n)
+    x, y = make_grid(math.sqrt(fl.variance_eps), math.sqrt(fl.variance_beta), (41, 41), 6.0)
+    thermal = 2.0 * math.pi * h * gaussian_limit(alpha, n, x, y).values
+    state = CoherentState(p0=0.0, q0=0.0, lam=2.0 * alpha.lam, hbar=h)
+    assert np.abs(thermal - state.wigner(y[None, :], x[:, None])).max() < 1e-12 * thermal.max()
+
+    toms = gaussian_tomogram_family(fl.variance_eps, fl.variance_beta, 64)
+    prof = to_profile(GaussianWavePacket(lam=alpha.lam, x0=0.0, y0=0.0, h=h))
+    for wave, tom in ((prof, toms[0]), (h_fourier(prof, h), toms[32])):
+        peak = tom.density(0.0)
+        assert np.abs(np.abs(wave.values) ** 2 - tom.density(wave.nodes)).max() < 1e-12 * peak
+
+
+def test_pauli_correspondence_is_a_verify_invariant():
+    rows = {name: ok for name, ok, _ in suite_quantum(0)}
+    assert rows["pauli-correspondence"]

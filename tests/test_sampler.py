@@ -63,7 +63,7 @@ def test_draw_follows_negative_binomial_law():
 
 
 def test_k_statistics_constant_sequence():
-    ks = k_statistics(np.full(500, 3.25), order=4)
+    ks = k_statistics(np.full(500, 3.25))
     assert ks[0] == 3.25
     assert ks[1] == ks[2] == ks[3] == 0.0
 
@@ -71,7 +71,7 @@ def test_k_statistics_constant_sequence():
 def test_k_statistics_gaussian_sanity():
     rng = np.random.default_rng(0)
     x = rng.normal(2.0, 1.5, 200_000)
-    ks = k_statistics(x, 4)
+    ks = k_statistics(x)
     assert ks[0] == pytest.approx(2.0, abs=0.02)
     assert ks[1] == pytest.approx(2.25, rel=0.02)
     assert abs(ks[2]) < 0.1 and abs(ks[3]) < 0.3
@@ -81,7 +81,7 @@ def test_empirical_vs_analytic():
     ens = OscillatorEnsemble(a=1.0, n=100)
     st = ThermoState(beta=1.0)
     run = sample_energies(ens, st, sweeps=100_000, seed=2024)
-    emp = empirical_cumulants(run, order=4)
+    emp = empirical_cumulants(run)
     kv = energy_cumulants(st, ens, 4)
     z = np.abs(emp.estimates - kv.values) / emp.standard_errors
     assert np.all(z < 5.0)
@@ -93,7 +93,7 @@ def test_insufficient_samples():
     with pytest.raises(InsufficientSamples):
         empirical_cumulants(run)
     with pytest.raises(InsufficientSamples):
-        k_statistics(np.ones(3), order=4)
+        k_statistics(np.ones(3))
 
 
 def test_precondition_errors():
@@ -157,7 +157,7 @@ def _exact_jackknife_se(occ, g):
 def test_jackknife_matches_exact_rational():
     # one block per sweep: the exact delete-1 jackknife
     run = sample_energies(OscillatorEnsemble(a=1.0, n=10), ThermoState(beta=1.0), sweeps=3001, seed=8)
-    emp = empirical_cumulants(run, order=4)
+    emp = empirical_cumulants(run)
     exact = _exact_jackknife_se(run.energies, len(run.energies))
     assert np.all(np.abs(emp.standard_errors - exact) <= 1e-12 * exact)
 
@@ -169,7 +169,7 @@ def test_jackknife_matches_exact_rational():
 def test_k1_standard_error_is_sqrt_k2_over_m(a, beta, n, seed):
     # the delete-1 jackknife SE of the mean is sqrt(k2/m) algebraically
     run = sample_energies(OscillatorEnsemble(a=a, n=n), ThermoState(beta=beta), sweeps=100_000, seed=seed)
-    emp = empirical_cumulants(run, order=4)
+    emp = empirical_cumulants(run)
     want = math.sqrt(emp.estimates[1] / len(run.energies))
     assert emp.standard_errors[0] == pytest.approx(want, rel=1e-11)
 
@@ -178,7 +178,7 @@ def test_jackknife_memory():
     run = sample_energies(OscillatorEnsemble(a=1.0, n=300), ThermoState(beta=1.0), sweeps=100_000, seed=1)
     tracemalloc.start()
     try:
-        empirical_cumulants(run, order=4)
+        empirical_cumulants(run)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
