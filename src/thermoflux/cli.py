@@ -502,7 +502,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._config = _read_config(args.config) if args.config else {}
+        config = _read_config(args.config) if args.config else {}
+        # each key must name a value option (not a switch) of this subcommand
+        options = {
+            k for k, v in vars(args).items()
+            if not isinstance(v, bool) and k not in ("func", "command", "config")
+        }
+        unknown = sorted(set(config) - options)
+        if unknown:
+            raise ConfigError(
+                f"config keys not read by {args.command}: {', '.join(unknown)}"
+            )
+        args._config = config
         return args.func(args)
     except ThermofluxError as exc:
         if exc.exit_code == 3:

@@ -59,7 +59,7 @@ class CumulantVector:
 
     def __post_init__(self):
         if len(self.values) != self.order:
-            raise ValueError("values length must equal order")
+            raise DomainError("values length must equal order")
 
     def kappa(self, n: int) -> float:
         return float(self.values[n - 1])

@@ -43,7 +43,7 @@ def _unit_laguerre(n: int):
     return t, w
 
 
-def radial_rule(variance: float, n: int):
+def radial_rule(variance, n: int):
     """Gauss rule for the radial weight |r| * exp(-variance * r^2 / 2) on R.
 
     Built from Gauss-Laguerre through t = variance*r^2/2, which maps the
@@ -54,10 +54,14 @@ def radial_rule(variance: float, n: int):
 
     For the oscillatory integrands used here, f(+/- sqrt(2t/v)) is entire
     in t, so convergence is spectral.  The unit rule is cached per n;
-    each call only rescales it.
+    each call only rescales it.  The variance may be an array: the rule
+    broadcasts against it, so a column of variances, shape (m, 1), gives
+    one row of nodes and weights per variance, (m, n), each equal to the
+    rule of that variance alone.  Every variance must be positive
+    (DomainError).
     """
-    if not variance > 0:
-        raise ValueError("radial rule requires a positive variance")
+    if not np.all(np.asarray(variance) > 0):
+        raise DomainError("radial rule requires a positive variance")
     t, w = _unit_laguerre(n)
     return np.sqrt(2.0 * t / variance), w / variance
 

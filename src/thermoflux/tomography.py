@@ -32,21 +32,22 @@ Gaussian factor and the angle integral by the periodic trapezoid rule.
 R carries unit Lebesgue mass; the Wigner-normalized object is 2*pi*h*R
 with h the semiclassical scale (2/n in internal units).
 
-The phase separates, exp(i r (x cos t + y sin t)) = exp(i r x cos t) *
-exp(i r y sin t), so on a rectangular grid the quadrature sum over one
-block of angles is a single complex matrix product
+The tomograms are real densities, so chi_t(-r) = conj chi_t(r): the node
+-r contributes the complex conjugate of the node +r, and the radial sum is
+twice the real part of the sum over the positive nodes alone.  The phase
+separates, exp(i r (x cos t + y sin t)) = exp(i r x cos t) *
+exp(i r y sin t), so on a rectangular grid that sum over one block of
+angles is a single complex matrix product
 
     E_x diag(coeff) E_y^T,   E_x[a, k] = exp(i r_k x_a cos t_k),
                              E_y[b, k] = exp(i r_k y_b sin t_k),
 
-with k running over the radial nodes of every angle in the block.  The
-node -r carries the complex-conjugate phases of the node +r, so only the
-positive nodes are exponentiated: O(n_r n_theta (nx + ny)) exponentials
-instead of O(n_r n_theta nx ny).  Blocks hold a fixed number of angles and
-are summed in angle order, so the result does not depend on any runtime
-setting.  The block is bounded, not all angles stacked at once, so that
-the phase factors stay smaller than the (2 n_r) x (nx ny) phase array of
-a single angle.
+with k running over the positive radial nodes of every angle in the
+block: O(n_r n_theta (nx + ny)) exponentials instead of
+O(n_r n_theta nx ny).  Blocks hold a fixed number of angles and are summed
+in angle order, so the result does not depend on any runtime setting.
+The block is bounded, not all angles stacked at once, so that the phase
+factors stay smaller than the n_r x (nx ny) phase array of a single angle.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermeval
@@ -71,11 +72,9 @@ from .homotopy import HomotopyPath, path_cumulants
 from .quadrature import radial_rule, uniform_angles
 
 # Angles per backprojection block.  At the defaults (n_r = 96, 41 x 41 grid)
-# each phase factor of a block is 41 x 768 complex, 0.5 MB, against 5 MB
+# each phase factor of a block is 41 x 768 complex, 0.5 MB, against 2.5 MB
 # for the per-angle phase array of the unfactored sum.
 _BLOCK_ANGLES = 8
-# Largest imaginary residue a backprojection may leave (reconstruct).
-_IMAG_TOL = 1e-6
 # Tomogram.min_density scans this many points over +/- this many sd.
 _MIN_SCAN_POINTS = 2001
 _MIN_SCAN_SIGMAS = 8.0
@@ -339,12 +338,18 @@ class QuasiDensityGrid:
             fh.write("\n")
 
 
-def _radial_terms(tom: Tomogram, n_r: int):
-    """Positive Gauss nodes r_i of one angle and the weights of each node
-    pair: w_i P(-r_i) for +r_i and w_i P(r_i) for -r_i, where
-    chi_t(k) = exp(-v k^2/2) P(k) is the tomogram's characteristic function."""
-    r, w = radial_rule(tom.variance, n_r)
-    return r, w * tom.char_poly(-r), w * tom.char_poly(r)
+def _grid(x, y, values, h: float, n0: int) -> QuasiDensityGrid:
+    """The grid of values, with its mass, negativity fraction and minimum
+    value as diagnostics."""
+    grid = QuasiDensityGrid(x=x, y=y, values=values, h=h, n0=n0, diagnostics={})
+    return replace(
+        grid,
+        diagnostics={
+            "mass": grid.mass(),
+            "negativity_fraction": grid.negativity_fraction(),
+            "min_value": float(grid.values.min()),
+        },
+    )
 
 
 def reconstruct(
@@ -356,17 +361,18 @@ def reconstruct(
 ) -> QuasiDensityGrid:
     """Filtered backprojection of a uniform tomogram family over [0, pi).
 
-    The radial integral uses the Gauss rule for |r|exp(-v_t r^2/2) (n_r
-    positive nodes, each standing for a +/- pair); the angle integral is
-    the periodic trapezoid rule.  The result is real up to roundoff; the
-    imaginary residue is reported and must not exceed _IMAG_TOL = 1e-6
-    (QuadratureFailure).
+    The radial integral uses the Gauss rule for |r|exp(-v_t r^2/2), built
+    once for the whole family from the column of variances (n_r positive
+    nodes per angle, each standing for a +/- pair); the angle integral is
+    the periodic trapezoid rule.  The node -r adds the complex conjugate of
+    the node +r (module docstring), so only the positive nodes are summed
+    and the grid is twice the real part of that sum.  A grid that is not
+    finite everywhere is refused (QuadratureFailure).
 
     The sum is evaluated in blocks of _BLOCK_ANGLES consecutive angles.
     Each block contributes (E_x * coeff) @ E_y.T with the separable phase
-    factors of the module docstring (once for the nodes +r and once, with
-    conjugated factors, for -r), and the blocks are added in angle order.
-    The block size is a constant: it bounds the memory of the phase
+    factors of the module docstring, and the blocks are added in angle
+    order.  The block size is a constant: it bounds the memory of the phase
     factors, and fixing it fixes the order of every floating-point sum.
     """
     n_theta = len(tomograms)
@@ -387,39 +393,23 @@ def reconstruct(
             f"need at least 2 grid points per axis, got {len(x)} x {len(y)}"
         )
 
-    total = np.zeros((len(x), len(y)), dtype=complex)
-    for lo in range(0, n_theta, _BLOCK_ANGLES):
-        r_cos, r_sin, c_plus, c_minus = [], [], [], []
-        for j in range(lo, min(lo + _BLOCK_ANGLES, n_theta)):
-            r, c_p, c_m = _radial_terms(tomograms[j], n_r)
-            r_cos.append(r * math.cos(angles[j]))
-            r_sin.append(r * math.sin(angles[j]))
-            c_plus.append(c_p)
-            c_minus.append(c_m)
-        e_x = np.exp(1j * np.multiply.outer(x, np.concatenate(r_cos)))
-        e_y = np.exp(1j * np.multiply.outer(y, np.concatenate(r_sin)))
-        # the node -r carries the complex-conjugate phase of the node +r
-        total += (e_x * np.concatenate(c_plus)) @ e_y.T
-        total += (e_x.conj() * np.concatenate(c_minus)) @ e_y.conj().T
-    total *= (math.pi / n_theta) / (4.0 * math.pi**2)
+    # one row of positive nodes r and weights w per angle; the node +r
+    # carries w P(-r), where chi_t(k) = exp(-v_t k^2/2) P(k)
+    r, w = radial_rule(np.array([[tom.variance] for tom in tomograms]), n_r)
+    coeff = w * np.array([tom.char_poly(-row) for tom, row in zip(tomograms, r)])
+    r_cos = r * np.cos(angles)[:, None]
+    r_sin = r * np.sin(angles)[:, None]
 
-    imag_residue = float(np.abs(total.imag).max())
-    if not imag_residue <= _IMAG_TOL:  # a NaN residue fails too
-        raise QuadratureFailure(
-            f"imaginary residue {imag_residue:.3e} exceeds {_IMAG_TOL:.1e}"
-        )
-    values = np.ascontiguousarray(total.real)
-    n0 = max(t.n0 for t in tomograms)
-    cell = (x[1] - x[0]) * (y[1] - y[0])
-    diagnostics = {
-        "imag_residue": imag_residue,
-        "mass": float(values.sum() * cell),
-        "negativity_fraction": float(np.mean(values < 0.0)),
-        "min_value": float(values.min()),
-    }
-    return QuasiDensityGrid(
-        x=x, y=y, values=values, h=h, n0=n0, diagnostics=diagnostics
-    )
+    total = np.zeros((len(x), len(y)))
+    for lo in range(0, n_theta, _BLOCK_ANGLES):
+        block = slice(lo, lo + _BLOCK_ANGLES)
+        e_x = np.exp(1j * np.multiply.outer(x, r_cos[block].ravel()))
+        e_y = np.exp(1j * np.multiply.outer(y, r_sin[block].ravel()))
+        total += ((e_x * coeff[block].ravel()) @ e_y.T).real
+    total *= 2.0 * (math.pi / n_theta) / (4.0 * math.pi**2)
+    if not np.all(np.isfinite(total)):
+        raise QuadratureFailure("backprojection is not finite")
+    return _grid(x, y, total, h, max(t.n0 for t in tomograms))
 
 
 def gaussian_limit(alpha: ManifoldPoint, n: float, x: np.ndarray, y: np.ndarray) -> QuasiDensityGrid:
@@ -436,16 +426,7 @@ def gaussian_limit(alpha: ManifoldPoint, n: float, x: np.ndarray, y: np.ndarray)
     y = np.asarray(y, dtype=float)
     expo = -0.5 * n * (lam * x[:, None] ** 2 + y[None, :] ** 2 / lam)
     values = n / (2.0 * math.pi) * np.exp(expo)
-    cell = (x[1] - x[0]) * (y[1] - y[0])
-    diagnostics = {
-        "imag_residue": 0.0,
-        "mass": float(values.sum() * cell),
-        "negativity_fraction": 0.0,
-        "min_value": float(values.min()),
-    }
-    return QuasiDensityGrid(
-        x=x, y=y, values=values, h=2.0 / n, n0=2, diagnostics=diagnostics
-    )
+    return _grid(x, y, values, 2.0 / n, 2)
 
 
 def purity(grid: QuasiDensityGrid) -> float:

@@ -236,13 +236,6 @@ def suite_tomography(seed: int = 0):
         err = max(err, abs(g2.moment_x(k) - toms[0].moments[k - 1]))
         err = max(err, abs(g2.moment_y(k) - toms[32].moments[k - 1]))
     results.append(("marginal-moments-n0-4", err < 1e-5, f"max dev {err:.2e}"))
-    results.append(
-        (
-            "imag-residue",
-            g2.diagnostics["imag_residue"] < 1e-10,
-            f"{g2.diagnostics['imag_residue']:.2e}",
-        )
-    )
     return results
 
 

@@ -444,6 +444,41 @@ def test_config_variant_checked(command, tmp_path, capsys):
     assert err.startswith("config error:") and "bogus" in err and out == ""
 
 
+_SYSTEM_CONFIG = "a=1\nbeta=1\nN=10\nunits=cgs\n"
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["sample"], "sweep"),  # misspelt --sweeps
+        (["cumulants", "--order", "2"], "units"),  # cumulants has no --units
+    ],
+)
+def test_config_key_not_read_is_refused(argv, key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_SYSTEM_CONFIG + "sweep=5\n")
+    code, out, err = _run([*argv, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith("config error:") and key in err and out == ""
+
+
+def test_config_keys_of_the_subcommand_are_accepted(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_SYSTEM_CONFIG)
+    code, out, _ = _run(["stats", "--config", str(cfg), "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["entropy_units"] == "k_B units erg/K"
+
+
+def test_reconstruct_reports_one_mass(capsys):
+    code, out, _ = _run(
+        ["reconstruct", "--a", "0.5", "--beta", "2", "--N", "10", "--json"], capsys
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["mass"] == doc["diagnostics"]["mass"]
+
+
 def test_numerical_failure_exit_3(capsys):
     # homotopy table through the degenerate angle
     code, out, _ = _run(

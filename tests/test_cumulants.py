@@ -178,6 +178,11 @@ def test_cumulants_to_moments_gaussian():
     assert m[3] == pytest.approx(3 * 2.5**2, rel=1e-15)
 
 
+def test_cumulant_vector_length_mismatch_is_domain_error():
+    with pytest.raises(DomainError):
+        CumulantVector(order=3, values=np.array([0.0, 1.0]))
+
+
 def test_cumulants_to_moments_deterministic():
     m = cumulants_to_moments(CumulantVector(order=3, values=np.array([1.7, 0.0, 0.0])))
     assert np.allclose(m, [1.7, 1.7**2, 1.7**3], rtol=1e-15)

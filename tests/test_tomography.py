@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,11 +8,13 @@ import pytest
 from thermoflux.core import ManifoldPoint, OscillatorEnsemble
 from thermoflux.cumulants import CumulantVector, _binomial_table, cumulants_to_moments
 from thermoflux.duality import solve_remark1, solve_symmetric
-from thermoflux.errors import DomainError, GridTooSmall
+from thermoflux import tomography
+from thermoflux.errors import DomainError, GridTooSmall, QuadratureFailure
 from thermoflux.homotopy import HomotopyPath, path_cumulants
-from thermoflux.quadrature import gauss_hermite_prob, uniform_angles
+from thermoflux.quadrature import gauss_hermite_prob, radial_rule, uniform_angles
 from thermoflux.tomography import (
     QuasiDensityGrid,
+    Tomogram,
     _hermite_moment_table,
     build_tomogram,
     gaussian_limit,
@@ -157,7 +160,6 @@ def test_reconstruct_gaussian_roundtrip_small():
     ref = gaussian_limit(alpha, n, x, y)
     assert np.abs(grid.values - ref.values).max() < 1e-6
     assert grid.mass() == pytest.approx(1.0, abs=1e-4)
-    assert grid.diagnostics["imag_residue"] < 1e-12
 
 
 def test_reconstruct_marginals_match_tomograms():
@@ -203,14 +205,21 @@ def _brute_force_reconstruct(toms, x, y, n_r):
     return (total * (math.pi / len(toms)) / (4.0 * math.pi**2)).real
 
 
-@pytest.mark.parametrize("family", ["gaussian", "homotopy"])
-def test_reconstruct_matches_brute_force(family):
+@pytest.mark.parametrize(
+    "family, n0",
+    [
+        pytest.param("gaussian", 2, id="gaussian"),
+        pytest.param("homotopy", 4, id="homotopy"),
+        pytest.param("homotopy", 8, id="homotopy-n0-8"),
+    ],
+)
+def test_reconstruct_matches_brute_force(family, n0):
     # 37 angles: the last angle block is partial
     if family == "gaussian":
         toms = gaussian_tomogram_family(0.02, 0.005, 37)
     else:
         path = HomotopyPath.from_dual_pair(solve_remark1(1.0, 1.0, 10.0))
-        toms = homotopy_tomograms(path, 37, 4)
+        toms = homotopy_tomograms(path, 37, n0)
     x, y = make_grid(
         math.sqrt(toms[0].variance), math.sqrt(toms[18].variance), (17, 23), 6.0
     )
@@ -234,6 +243,59 @@ def test_reconstruct_preconditions():
     toms = toms[1:] + toms[:1]  # angles no longer increase from 0
     with pytest.raises(DomainError):
         reconstruct(toms, 0.02, x, y)
+
+
+def test_reconstruct_refuses_zero_variance_tomogram():
+    v, vp = 0.02, 0.005
+    x, y = make_grid(math.sqrt(v), math.sqrt(vp), (33, 33), 6.0)
+    toms = gaussian_tomogram_family(v, vp, 32)
+    toms[5] = Tomogram(
+        angle=toms[5].angle, variance=0.0, n0=2, gamma=np.zeros(3), moments=np.zeros(2)
+    )
+    with pytest.raises(DomainError):
+        reconstruct(toms, 0.02, x, y)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_reconstruct_refuses_non_finite_tomogram(bad):
+    path = HomotopyPath.from_dual_pair(solve_remark1(1.0, 1.0, 100.0))
+    toms = homotopy_tomograms(path, 64, 4)
+    gamma = toms[7].gamma.copy()
+    gamma[3] = bad
+    toms[7] = dataclasses.replace(toms[7], gamma=gamma)
+    x, y = make_grid(math.sqrt(toms[0].variance), math.sqrt(toms[32].variance), (41, 41), 6.0)
+    with pytest.raises(QuadratureFailure):
+        reconstruct(toms, 0.02, x, y)
+
+
+def test_reconstruct_builds_one_radial_rule(monkeypatch):
+    calls = []
+
+    def counted(variance, n):
+        calls.append(np.shape(variance))
+        return radial_rule(variance, n)
+
+    monkeypatch.setattr(tomography, "radial_rule", counted)
+    v, vp = 0.02, 0.005
+    x, y = make_grid(math.sqrt(v), math.sqrt(vp), (33, 33), 6.0)
+    reconstruct(gaussian_tomogram_family(v, vp, 64), 0.02, x, y)
+    assert calls == [(64, 1)]
+
+
+def test_radial_rule_column_matches_scalar_calls():
+    variances = [0.02, 0.005, 3.7, 1e-3, 1.0, 12345.6789]
+    r, w = radial_rule(np.array(variances)[:, None], 96)
+    assert r.shape == w.shape == (len(variances), 96)
+    for i, v in enumerate(variances):
+        r_i, w_i = radial_rule(v, 96)
+        assert r[i].tobytes() == r_i.tobytes()
+        assert w[i].tobytes() == w_i.tobytes()
+
+
+@pytest.mark.parametrize("variance", [0.0, -1.0, math.nan, [[1.0], [0.0]]])
+def test_radial_rule_refuses_non_positive_variance(variance):
+    with pytest.raises(DomainError):
+        radial_rule(variance, 8)
 
 
 def test_homotopy_reconstruction_moment_fidelity():
