@@ -67,7 +67,6 @@ from .quantum import (
     gaussian_evolution_params,
     h_fourier,
     propagate,
-    propagator_kernel,
     to_profile,
     wigner_coherent,
 )

@@ -314,7 +314,7 @@ def cmd_reconstruct(args):
     elif family == "homotopy":
         path = HomotopyPath.from_dual_pair(_solve_dual(a, beta, n, variant))
         toms = homotopy_tomograms(path, n_theta, n0)
-        v, vp = toms[0].variance, toms[n_theta // 2].variance
+        v, vp = path.variance_at(0.0), path.variance_at(math.pi / 2)
     else:
         raise ConfigError(f"family must be 'gaussian' or 'homotopy', got {family!r}")
 

@@ -72,31 +72,20 @@ class DualPair:
     def source(self) -> OscillatorEnsemble:
         return OscillatorEnsemble(a=self.a, n=self.n)
 
-    @property
-    def dual(self) -> OscillatorEnsemble:
-        return OscillatorEnsemble(a=self.a_dual, n=self.n_dual)
-
 
 def _solve_phi_equals(target: float) -> float:
-    """Solve phi(y) = target for the unique real root by bracketed
-    bisection followed by a Newton polish."""
+    """Solve phi(y) = target <= 1 for the unique real root y <= 0 by
+    bracketed bisection followed by a Newton polish."""
     if not target > 0:
         raise NoBracket(f"phi only takes positive values, target {target!r}")
-    # expanding bracket around 0; phi is strictly increasing with phi(0)=1
+    # phi is strictly increasing with phi(0) = 1: expand the bracket below 0
     if target == 1.0:
         return 0.0
-    if target > 1.0:
-        lo, hi = 0.0, 1.0
-        while phi(hi) < target:
-            hi *= 2.0
-            if hi > 1e12:
-                raise NoBracket("failed to bracket root above")
-    else:
-        lo, hi = -1.0, 0.0
-        while phi(lo) > target:
-            lo *= 2.0
-            if lo < -1e12:
-                raise NoBracket("failed to bracket root below")
+    lo, hi = -1.0, 0.0
+    while phi(lo) > target:
+        lo *= 2.0
+        if lo < -1e12:
+            raise NoBracket("failed to bracket root below")
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if phi(mid) < target:

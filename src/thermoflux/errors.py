@@ -50,9 +50,5 @@ class GridTooSmall(NumericalFailure):
     """Grid does not cover enough standard deviations for the operation."""
 
 
-class SingularTime(NumericalFailure):
-    """Propagator evaluated at a singular time (sin t too close to zero)."""
-
-
 class ConfigError(ThermofluxError):
     """Invalid run configuration (CLI/front-end level)."""

@@ -1,9 +1,9 @@
-"""Quadrature rules shared by tomography and the quantum reference module."""
+"""Quadrature rules of the tomography layer: the radial Gauss rule of the
+backprojection and the uniform angle grid."""
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -13,24 +13,12 @@ from .errors import DomainError
 def _checked_rule(rule, n: int, mass: float):
     """Nodes/weights of numpy's Gauss rule `rule(n)`, refused when a node is
     not finite or the weights do not sum to the weight function's mass:
-    they overflow or underflow at large n (laggauss from n = 187, hermgauss
-    from n = 371)."""
+    they overflow or underflow at large n (laggauss from n = 187)."""
     with np.errstate(all="ignore"):  # checked below
         x, w = rule(n)
     if not (np.all(np.isfinite(x)) and abs(w.sum() - mass) <= 1e-9 * mass):
         raise DomainError(f"{rule.__name__}({n}) overflows or underflows double precision")
     return x, w
-
-
-def gauss_hermite(n: int):
-    """Nodes/weights for the physicists' weight exp(-x^2) on the real line."""
-    return _checked_rule(np.polynomial.hermite.hermgauss, n, math.sqrt(math.pi))
-
-
-def gauss_hermite_prob(n: int):
-    """Nodes/weights for the standard normal density (probabilists' scaling)."""
-    x, w = gauss_hermite(n)
-    return x * np.sqrt(2.0), w / np.sqrt(np.pi)
 
 
 @functools.cache

@@ -396,7 +396,8 @@ def reconstruct(
     # one row of positive nodes r and weights w per angle; the node +r
     # carries w P(-r), where chi_t(k) = exp(-v_t k^2/2) P(k)
     r, w = radial_rule(np.array([[tom.variance] for tom in tomograms]), n_r)
-    coeff = w * np.array([tom.char_poly(-row) for tom, row in zip(tomograms, r)])
+    with np.errstate(invalid="ignore"):  # a non-finite grid is refused below
+        coeff = w * np.array([tom.char_poly(-row) for tom, row in zip(tomograms, r)])
     r_cos = r * np.cos(angles)[:, None]
     r_sin = r * np.sin(angles)[:, None]
 

@@ -267,8 +267,8 @@ def _pauli_deviation(beta_a: float, n: float) -> float:
     """Largest deviation, as a fraction of the peak, of the quantum objects
     at hbar = h = 2/n and width lam = ManifoldPoint.lam from the thermal
     ones at a = 1: the coherent state's Wigner function from 2 pi h times
-    gaussian_limit, and |psi|^2 of the packet and of its h-Fourier
-    transform from the Gaussian tomograms at angles 0 and pi/2."""
+    gaussian_limit, and |psi|^2 of the packet propagated to t = k pi/16
+    from the Gaussian tomogram at that angle, for k = 0 .. 15."""
     h = 2.0 / n
     alpha = ManifoldPoint.from_beta(beta_a, OscillatorEnsemble(a=1.0, n=n))
     fl = quasi_fluctuations(alpha, n)
@@ -278,9 +278,9 @@ def _pauli_deviation(beta_a: float, n: float) -> float:
     wigner = wigner_coherent(coherent, p=y[None, :], q=x[:, None])
     worst = float(np.abs(thermal - wigner).max() / thermal.max())
 
-    toms = gaussian_tomogram_family(fl.variance_eps, fl.variance_beta, 64)
     prof = to_profile(GaussianWavePacket(lam=alpha.lam, x0=0.0, y0=0.0, h=h))
-    for wave, tom in ((prof, toms[0]), (h_fourier(prof, h), toms[32])):
+    for tom in gaussian_tomogram_family(fl.variance_eps, fl.variance_beta, 16):
+        wave = propagate(prof, tom.angle, h)
         ref = tom.density(wave.nodes)
         worst = max(worst, float(np.abs(np.abs(wave.values) ** 2 - ref).max() / ref.max()))
     return worst

@@ -30,7 +30,6 @@ from thermoflux.cumulants import (
 )
 from thermoflux.duality import phi, solve_remark1, solve_symmetric, verify_duality
 from thermoflux.homotopy import HomotopyPath, path_cumulants, path_params
-from thermoflux.quadrature import gauss_hermite
 from thermoflux.quantum import (
     GaussianWavePacket,
     gaussian_evolution_params,
@@ -218,7 +217,7 @@ def test_c09_quantum_reference_suite():
         evo = gaussian_evolution_params(0.3, -0.2, lam, t)
         width_dev = max(width_dev, abs(out.variance() - evo.variance(h)))
     st = CoherentState(p0=0.2, q0=-0.4, lam=1.5, hbar=0.3)
-    xi, w = gauss_hermite(80)
+    xi, w = np.polynomial.hermite.hermgauss(80)
     q = st.q0 + xi * math.sqrt(2 * st.hbar / st.lam)
     p = st.p0 + xi * math.sqrt(st.lam * st.hbar / 2)
     wq = w * math.sqrt(2 * st.hbar / st.lam) * np.exp(xi**2)

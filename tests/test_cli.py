@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from thermoflux import cli, errors
 from thermoflux.cli import build_parser, main
-from thermoflux.verify import SUITES
+from thermoflux.verify import SUITES, run_suites
 
 
 def _run(argv, capsys):
@@ -305,7 +305,6 @@ _ERROR_EXITS = [
     (errors.QuadratureFailure, 3),
     (errors.DegeneratePoint, 3),
     (errors.GridTooSmall, 3),
-    (errors.SingularTime, 3),
     (errors.IllConditioned, 3),
 ]
 
@@ -479,6 +478,18 @@ def test_reconstruct_reports_one_mass(capsys):
     assert doc["results"]["mass"] == doc["diagnostics"]["mass"]
 
 
+@pytest.mark.parametrize("n_theta", [33, 63, 64, 65])
+def test_reconstruct_odd_angle_count(n_theta, capsys):
+    # an odd count has no tomogram at pi/2, where the grid's y extent is read
+    code, out, _ = _run(
+        ["reconstruct", "--a", "1", "--beta", "1", "--N", "100", "--n-theta", str(n_theta),
+         "--json"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["purity"] == pytest.approx(1.0130256903452057, rel=1e-12)
+
+
 def test_numerical_failure_exit_3(capsys):
     # homotopy table through the degenerate angle
     code, out, _ = _run(
@@ -495,6 +506,12 @@ def test_verify_subcommand(capsys):
     code, out, _ = _run(["verify", "--suite", "coefficients"], capsys)
     assert code == 0
     assert all(line.startswith("PASS") for line in out.strip().splitlines())
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_verify_suite_passes(name):
+    failed = [row for row in run_suites([name], 42) if not row[2]]
+    assert failed == []
 
 
 def test_verify_failed_invariant_exit_1(monkeypatch, capsys):

@@ -11,7 +11,7 @@ from thermoflux.duality import solve_remark1, solve_symmetric
 from thermoflux import tomography
 from thermoflux.errors import DomainError, GridTooSmall, QuadratureFailure
 from thermoflux.homotopy import HomotopyPath, path_cumulants
-from thermoflux.quadrature import gauss_hermite_prob, radial_rule, uniform_angles
+from thermoflux.quadrature import radial_rule, uniform_angles
 from thermoflux.tomography import (
     QuasiDensityGrid,
     Tomogram,
@@ -27,10 +27,16 @@ from thermoflux.tomography import (
 )
 
 
+def _gauss_hermite_prob(n):
+    """Nodes/weights of numpy's hermgauss rescaled to the standard normal density."""
+    x, w = np.polynomial.hermite.hermgauss(n)
+    return x * np.sqrt(2.0), w / np.sqrt(np.pi)
+
+
 def _quad_moment(tom, k, n_nodes=80):
     """Independent moment oracle: probabilists' GH against the tomogram's
     own Gaussian factor (exact for the polynomial part)."""
-    s, w = gauss_hermite_prob(n_nodes)
+    s, w = _gauss_hermite_prob(n_nodes)
     z = s * math.sqrt(tom.variance)
     dens_over_gauss = tom.density(z) * math.sqrt(2 * math.pi * tom.variance) * np.exp(s * s / 2)
     return float(np.sum(w * z**k * dens_over_gauss))
@@ -82,7 +88,7 @@ def test_tomogram_homogeneity():
 
 def test_char_function_vs_quadrature():
     tom = build_tomogram(_centered([0.0, 0.01, 2e-4, 1e-4]), 4)
-    s, w = gauss_hermite_prob(120)
+    s, w = _gauss_hermite_prob(120)
     z = s * math.sqrt(tom.variance)
     poly = tom.density(z) * math.sqrt(2 * math.pi * tom.variance) * np.exp(s * s / 2)
     for k in (0.0, 1.3, 7.7, -4.1):
