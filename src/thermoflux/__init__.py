@@ -60,7 +60,6 @@ from .tomography import (
     reconstruct,
 )
 from .quantum import (
-    CoherentState,
     GaussianEvolution,
     GaussianWavePacket,
     WaveProfile,

@@ -9,8 +9,16 @@ it); 2 invalid configuration (message names the violated precondition);
 3 numerical failure (bracket/quadrature/degeneracy) with a JSON
 diagnostic payload.  Each error class carries its code as exit_code.
 
-A plain-text config file (key=value per line, '#' comments) can supply
-defaults; explicit flags win.
+Each option's type, choices and default are declared once, in
+build_parser.  A plain-text config file (--config; key=value per line,
+'#' comments) names value options of the subcommand by their dest (or
+the flag without dashes).  Its values go through the same option's type
+and choices, and then serve as that subcommand's defaults, so a value
+comes from the explicit flag if one is given, else the config file, else
+the built-in default.  Only --a, --beta and --N have no default; a run
+without one of them exits 2.  The JSON `config` block echoes the
+resolved value of every option that has one, whichever of the three
+supplied it.
 """
 
 from __future__ import annotations
@@ -68,25 +76,34 @@ def _read_config(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}")
 
 
-def _resolve(args, key, default=None, cast=float):
-    """Flag value if given, else config value, else default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    config = getattr(args, "_config", {})
-    if key in config:
+def _config_defaults(sub: argparse.ArgumentParser, command: str, config: dict) -> dict:
+    """Config values converted by their option's own type and checked
+    against its choices; every bad key and value is named at once."""
+    # each key must name a value option (not a switch) of this subcommand
+    options = {a.dest: a for a in sub._actions if a.nargs is None and a.dest != "config"}
+    unknown = sorted(set(config) - set(options))
+    problems = [f"config keys not read by {command}: {', '.join(unknown)}"] if unknown else []
+    values = {}
+    for key in sorted(set(config) & set(options)):
+        action, text = options[key], config[key]
         try:
-            return cast(config[key])
+            value = action.type(text) if action.type else text
         except ValueError:
-            raise ConfigError(f"config value for {key} is not a {cast.__name__}")
-    if default is None:
-        raise ConfigError(f"missing required parameter --{key.replace('_', '-')}")
-    return default
+            problems.append(f"config value for {key} is not a {action.type.__name__}: {text!r}")
+            continue
+        if action.choices is not None and value not in action.choices:
+            problems.append(
+                f"config value for {key} must be one of {', '.join(action.choices)}, got {text!r}"
+            )
+        values[key] = value
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return values
 
 
-def _seed(args, default: int) -> int:
+def _seed(args) -> int:
     """The --seed value; numpy seed sequences take only nonnegative integers."""
-    seed = int(_resolve(args, "seed", default, int))
+    seed = args.seed
     if seed < 0:
         raise ConfigError(f"--seed must be a nonnegative integer, got {seed}")
     return seed
@@ -98,7 +115,7 @@ def _emit(args, results: dict, diagnostics: dict | None = None, text=None) -> No
             "config": {
                 k: v
                 for k, v in sorted(vars(args).items())
-                if not k.startswith("_") and k != "func" and v is not None
+                if k != "func" and v is not None
             },
             "results": results,
             "diagnostics": diagnostics or {},
@@ -112,22 +129,13 @@ def _emit(args, results: dict, diagnostics: dict | None = None, text=None) -> No
             print(f"{k} = {v!r}")
 
 
-def _units(args) -> str:
-    u = _resolve(args, "units", "internal", str)
-    if u not in ("internal", "cgs"):
-        raise ConfigError(f"units must be 'internal' or 'cgs', got {u!r}")
-    return u
-
-
 def _kb_scale(units: str) -> float:
     return K_B_CGS if units == "cgs" else 1.0
 
 
 def cmd_stats(args):
-    a = _resolve(args, "a")
-    beta = _resolve(args, "beta")
-    n = _resolve(args, "n")
-    units = _units(args)
+    a, beta, n = args.a, args.beta, args.n
+    units = args.units
     kb = _kb_scale(units)
     ens = OscillatorEnsemble(a=a, n=n)
     st = ThermoState(beta=beta)
@@ -154,10 +162,8 @@ def cmd_stats(args):
 
 
 def cmd_cumulants(args):
-    a = _resolve(args, "a")
-    beta = _resolve(args, "beta")
-    n = _resolve(args, "n")
-    order = int(_resolve(args, "order", 6, int))
+    a, beta, n = args.a, args.beta, args.n
+    order = args.order
     ens = OscillatorEnsemble(a=a, n=n)
     st = ThermoState(beta=beta)
     if args.fluctuation:
@@ -168,9 +174,8 @@ def cmd_cumulants(args):
         label = "K"
     results = {f"{label}_{k}": kv.kappa(k) for k in range(1, order + 1)}
     lines = [f"{name} = {val!r}" for name, val in results.items()]
-    out = _resolve(args, "output", "", str)
-    if out:
-        with open(out, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write("order,value\n")
             for k in range(1, order + 1):
                 fh.write(f"{k},{kv.kappa(k)!r}\n")
@@ -178,20 +183,13 @@ def cmd_cumulants(args):
     return 0
 
 
-def _solve_dual(a, beta, n, variant):
-    if variant == "symmetric":
-        return solve_symmetric(a, beta, n)
-    if variant == "remark1":
-        return solve_remark1(a, beta, n)
-    raise ConfigError(f"variant must be 'symmetric' or 'remark1', got {variant!r}")
+def _solve_dual(args):
+    solve = solve_symmetric if args.variant == "symmetric" else solve_remark1
+    return solve(args.a, args.beta, args.n)
 
 
 def cmd_dual(args):
-    a = _resolve(args, "a")
-    beta = _resolve(args, "beta")
-    n = _resolve(args, "n")
-    variant = _resolve(args, "variant", "remark1", str)
-    pair = _solve_dual(a, beta, n, variant)
+    pair = _solve_dual(args)
     report = verify_duality(pair)
     results = {
         "a_dual": pair.a_dual,
@@ -203,35 +201,22 @@ def cmd_dual(args):
     }
     diagnostics = {
         "variance_product_scaled": report.variance_product_scaled,
-        "imposed_condition_residual": report.imposed_condition_residual,
+        "imposed_condition_residual": pair.residuals[0],
     }
-    # duality output is JSON regardless of --json: residual vectors do not
-    # render usefully as key=value lines
-    doc = {
-        "config": {"a": a, "beta": beta, "n": n, "variant": variant},
-        "results": results,
-        "diagnostics": diagnostics,
-        "version": __version__,
-    }
-    print(json.dumps(doc, sort_keys=True))
+    _emit(args, results, diagnostics)
     return 0
 
 
 def cmd_homotopy(args):
-    a = _resolve(args, "a")
-    beta = _resolve(args, "beta")
-    n = _resolve(args, "n")
-    variant = _resolve(args, "variant", "remark1", str)
-    num_t = int(_resolve(args, "num_t", 33, int))
-    if num_t < 1:
-        raise ConfigError(f"--num-t must be at least 1, got {num_t}")
-    t_max = _resolve(args, "t_max", math.pi / 2.0)
-    order = int(_resolve(args, "order", 4, int))
-    path = HomotopyPath.from_dual_pair(_solve_dual(a, beta, n, variant))
+    if args.num_t < 1:
+        raise ConfigError(f"--num-t must be at least 1, got {args.num_t}")
+    if not math.isfinite(args.t_max):
+        raise ConfigError(f"--t-max must be finite, got {args.t_max!r}")
+    path = HomotopyPath.from_dual_pair(_solve_dual(args))
     rows = []
-    for t in np.linspace(0.0, t_max, num_t):
+    for t in np.linspace(0.0, args.t_max, args.num_t):
         point = path_params(path, float(t))
-        kv = path_cumulants(path, float(t), order)
+        kv = path_cumulants(path, float(t), args.order)
         rows.append(
             {
                 "t": float(t),
@@ -239,16 +224,15 @@ def cmd_homotopy(args):
                 "beta_t": point.beta,
                 "mean_t": point.mean,
                 "variance_t": point.variance,
-                **{f"kappa_{k}": kv.kappa(k) for k in range(3, order + 1)},
+                **{f"kappa_{k}": kv.kappa(k) for k in range(3, args.order + 1)},
             }
         )
-    out = _resolve(args, "output", "", str)
     header = list(rows[0].keys())
     lines = [",".join(header)]
     lines += [",".join(repr(float(row[k])) for k in header) for row in rows]
     text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     if args.json:
         _emit(args, {"rows": rows})
@@ -258,21 +242,15 @@ def cmd_homotopy(args):
 
 
 def cmd_tomogram(args):
-    a = _resolve(args, "a")
-    beta = _resolve(args, "beta")
-    n = _resolve(args, "n")
-    variant = _resolve(args, "variant", "remark1", str)
-    t = _resolve(args, "t", 0.0)
-    n0 = int(_resolve(args, "n0", 4, int))
-    num_z = int(_resolve(args, "num_z", 201, int))
-    path = HomotopyPath.from_dual_pair(_solve_dual(a, beta, n, variant))
-    kv = path_cumulants(path, t, max(n0, 2))
-    tom = build_tomogram(kv, n0, angle=t)
-    z = np.linspace(-6.0, 6.0, num_z) * math.sqrt(tom.variance)
+    if args.num_z < 0:
+        raise ConfigError(f"--num-z must be nonnegative, got {args.num_z}")
+    path = HomotopyPath.from_dual_pair(_solve_dual(args))
+    kv = path_cumulants(path, args.t, max(args.n0, 2))
+    tom = build_tomogram(kv, args.n0, angle=args.t)
+    z = np.linspace(-6.0, 6.0, args.num_z) * math.sqrt(tom.variance)
     dens = tom.density(z)
-    out = _resolve(args, "output", "", str)
-    if out:
-        with open(out, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write("z,density\n")
             for zi, di in zip(z, dens):
                 fh.write(f"{float(zi)!r},{float(di)!r}\n")
@@ -296,34 +274,22 @@ splot '{path}' every ::1 using 1:2:3 with points pt 5 ps 1 palette notitle
 
 
 def cmd_reconstruct(args):
-    a = _resolve(args, "a")
-    beta = _resolve(args, "beta")
-    n = _resolve(args, "n")
-    variant = _resolve(args, "variant", "remark1", str)
-    family = _resolve(args, "family", "homotopy", str)
-    n0 = int(_resolve(args, "n0", 4, int))
-    n_theta = int(_resolve(args, "n_theta", 64, int))
-    n_r = int(_resolve(args, "n_r", 96, int))
-    grid_points = int(_resolve(args, "grid_points", 41, int))
-    n_sigma = _resolve(args, "n_sigma", 6.0)
-
-    if family == "gaussian":
+    a, beta, n = args.a, args.beta, args.n
+    if args.family == "gaussian":
         fl = quasi_fluctuations(ManifoldPoint.from_beta(beta, OscillatorEnsemble(a=a, n=n)), n)
         v, vp = fl.variance_eps, fl.variance_beta
-        toms = gaussian_tomogram_family(v, vp, n_theta)
-    elif family == "homotopy":
-        path = HomotopyPath.from_dual_pair(_solve_dual(a, beta, n, variant))
-        toms = homotopy_tomograms(path, n_theta, n0)
-        v, vp = path.variance_at(0.0), path.variance_at(math.pi / 2)
+        toms = gaussian_tomogram_family(v, vp, args.n_theta)
     else:
-        raise ConfigError(f"family must be 'gaussian' or 'homotopy', got {family!r}")
+        path = HomotopyPath.from_dual_pair(_solve_dual(args))
+        toms = homotopy_tomograms(path, args.n_theta, args.n0)
+        v, vp = path.variance_at(0.0), path.variance_at(math.pi / 2)
 
     h = 2.0 / n  # after the family branch has checked n
-    x, y = make_grid(math.sqrt(v), math.sqrt(vp), (grid_points, grid_points), n_sigma)
-    grid = reconstruct(toms, h, x, y, n_r=n_r)
+    x, y = make_grid(math.sqrt(v), math.sqrt(vp), (args.grid_points, args.grid_points))
+    grid = reconstruct(toms, h, x, y, n_r=args.n_r)
     grid = dataclasses.replace(grid, diagnostics={**grid.diagnostics, "purity": purity(grid)})
 
-    out = _resolve(args, "output", "", str)
+    out = args.output
     if out:
         grid.to_csv(out)
         grid.to_json(out + ".json")
@@ -342,17 +308,14 @@ def cmd_reconstruct(args):
 
 
 def cmd_sample(args):
-    a = _resolve(args, "a")
-    beta = _resolve(args, "beta")
-    n = _resolve(args, "n")
-    sweeps = int(_resolve(args, "sweeps", 10000, int))
-    seed = _seed(args, 0)
+    a, beta, n = args.a, args.beta, args.n
+    sweeps = args.sweeps
+    seed = _seed(args)
     ens = OscillatorEnsemble(a=a, n=n)
     st = ThermoState(beta=beta)
     run = sample_energies(ens, st, sweeps=sweeps, seed=seed)
-    out = _resolve(args, "output", "", str)
-    if out:
-        run.to_csv(out)
+    if args.output:
+        run.to_csv(args.output)
     emp = empirical_cumulants(run)
     results = {
         "sweeps": sweeps,
@@ -374,14 +337,8 @@ def cmd_sample(args):
 
 
 def cmd_verify(args):
-    suite = _resolve(args, "suite", "all", str)
-    seed = _seed(args, 42)
-    names = list(SUITES) if suite == "all" else [suite]
-    for name in names:
-        if name not in SUITES:
-            raise ConfigError(
-                f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'"
-            )
+    seed = _seed(args)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     rows = run_suites(names, seed)
     failed = [r for r in rows if not r[2]]
     if args.json:
@@ -410,10 +367,18 @@ def _add_output(p):
     p.add_argument("--output", help="write the main artifact to this path")
 
 
+# (flag, dest, help) of the parameters that have no default
+_SYSTEM = (("--a", "a", "energy quantum"), ("--beta", "beta", "inverse temperature"),
+           ("--N", "n", "particle count"))
+
+
 def _add_system(p):
-    p.add_argument("--a", type=float, help="energy quantum")
-    p.add_argument("--beta", type=float, help="inverse temperature")
-    p.add_argument("--N", dest="n", type=float, help="particle count")
+    for flag, dest, help_text in _SYSTEM:
+        p.add_argument(flag, dest=dest, type=float, help=help_text)
+
+
+def _add_variant(p):
+    p.add_argument("--variant", choices=["symmetric", "remark1"], default="remark1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,14 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="closed-form mean/variance/entropy")
     _add_common(p)
     _add_system(p)
-    p.add_argument("--units", choices=["internal", "cgs"], help="output units")
+    p.add_argument("--units", choices=["internal", "cgs"], default="internal", help="output units")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("cumulants", help="exact energy or fluctuation cumulants")
     _add_common(p)
     _add_output(p)
     _add_system(p)
-    p.add_argument("--order", type=int, help="highest cumulant order (<= 20)")
+    p.add_argument("--order", type=int, default=6, help="highest cumulant order (<= 20)")
     p.add_argument(
         "--fluctuation", action="store_true", help="cumulants of (E-<E>)/N"
     )
@@ -443,40 +408,41 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual", help="solve the dual system")
     _add_common(p)
     _add_system(p)
-    p.add_argument("--variant", choices=["symmetric", "remark1"])
-    p.set_defaults(func=cmd_dual)
+    _add_variant(p)
+    # JSON regardless of --json: residual vectors do not render usefully
+    # as key=value lines
+    p.set_defaults(func=cmd_dual, json=True)
 
     p = sub.add_parser("homotopy", help="tabulate the interpolating family")
     _add_common(p)
     _add_output(p)
     _add_system(p)
-    p.add_argument("--variant", choices=["symmetric", "remark1"])
-    p.add_argument("--num-t", dest="num_t", type=int, help="number of t samples")
-    p.add_argument("--t-max", dest="t_max", type=float, help="largest t (default pi/2)")
-    p.add_argument("--order", type=int, help="cumulant order per row")
+    _add_variant(p)
+    p.add_argument("--num-t", dest="num_t", type=int, default=33, help="number of t samples")
+    p.add_argument("--t-max", dest="t_max", type=float, default=math.pi / 2.0, help="largest t")
+    p.add_argument("--order", type=int, default=4, help="cumulant order per row")
     p.set_defaults(func=cmd_homotopy)
 
     p = sub.add_parser("tomogram", help="the path's own per-angle tomogram, not the reconstruct family")
     _add_common(p)
     _add_output(p)
     _add_system(p)
-    p.add_argument("--variant", choices=["symmetric", "remark1"])
-    p.add_argument("--t", type=float, help="tomogram angle")
-    p.add_argument("--n0", type=int, help="truncation degree (2..8)")
-    p.add_argument("--num-z", dest="num_z", type=int, help="sample count for CSV")
+    _add_variant(p)
+    p.add_argument("--t", type=float, default=0.0, help="tomogram angle")
+    p.add_argument("--n0", type=int, default=4, help="truncation degree (2..8)")
+    p.add_argument("--num-z", dest="num_z", type=int, default=201, help="sample count for CSV")
     p.set_defaults(func=cmd_tomogram)
 
     p = sub.add_parser("reconstruct", help="joint quasiprobability grid")
     _add_common(p)
     _add_output(p)
     _add_system(p)
-    p.add_argument("--variant", choices=["symmetric", "remark1"])
-    p.add_argument("--family", choices=["gaussian", "homotopy"])
-    p.add_argument("--n0", type=int)
-    p.add_argument("--n-theta", dest="n_theta", type=int)
-    p.add_argument("--n-r", dest="n_r", type=int)
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.add_argument("--n-sigma", dest="n_sigma", type=float)
+    _add_variant(p)
+    p.add_argument("--family", choices=["gaussian", "homotopy"], default="homotopy")
+    p.add_argument("--n0", type=int, default=4)
+    p.add_argument("--n-theta", dest="n_theta", type=int, default=64)
+    p.add_argument("--n-r", dest="n_r", type=int, default=96)
+    p.add_argument("--grid-points", dest="grid_points", type=int, default=41)
     p.add_argument("--gnuplot", action="store_true", help="emit companion plot script")
     p.set_defaults(func=cmd_reconstruct)
 
@@ -484,36 +450,37 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_output(p)
     _add_system(p)
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--sweeps", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check", action="store_true", help="z-scores vs analytic")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="run invariant suites")
     _add_common(p)
-    p.add_argument("--suite", help=f"one of {', '.join(SUITES)} or 'all'")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--suite", choices=["all", *SUITES], default="all")
+    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_verify)
 
     return parser
+
+
+def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[command]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _read_config(args.config) if args.config else {}
-        # each key must name a value option (not a switch) of this subcommand
-        options = {
-            k for k, v in vars(args).items()
-            if not isinstance(v, bool) and k not in ("func", "command", "config")
-        }
-        unknown = sorted(set(config) - options)
-        if unknown:
-            raise ConfigError(
-                f"config keys not read by {args.command}: {', '.join(unknown)}"
-            )
-        args._config = config
+        if args.config:
+            # config values become the subcommand's defaults, so flags win
+            sub = _subparser(parser, args.command)
+            sub.set_defaults(**_config_defaults(sub, args.command, _read_config(args.config)))
+            args = parser.parse_args(argv)
+        missing = [flag for flag, dest, _ in _SYSTEM if getattr(args, dest, 0) is None]
+        if missing:
+            raise ConfigError(f"missing required parameter {', '.join(missing)}")
         return args.func(args)
     except ThermofluxError as exc:
         if exc.exit_code == 3:

@@ -199,7 +199,6 @@ def solve_remark1(a: float, beta: float, n: float) -> DualPair:
 @dataclass(frozen=True)
 class DualityReport:
     variance_product_scaled: float  # Var(de) * Var(de') * n^2, target 1
-    imposed_condition_residual: float
 
 
 def dual_fluctuation_variances(pair: DualPair):
@@ -227,19 +226,9 @@ def verify_duality(pair: DualPair) -> DualityReport:
     """Check a solved pair against its defining system.
 
     Reports the realized product Var(de)*Var(de')*n^2 against the
-    uncertainty target 1, and the residual of the variant's imposed
-    condition; the per-equation residuals are pair.residuals.
+    uncertainty target 1; the per-equation residuals, the variant's
+    imposed condition first, are pair.residuals.
     """
     v, v_dual = dual_fluctuation_variances(pair)
     product = (v * pair.n) * (v_dual * pair.n_dual)  # each factor is O(1)
-
-    eps = pair.a * mean_occupation(pair.beta * pair.a)
-    eps_dual = pair.a_dual * mean_occupation_signed(pair.beta_dual * pair.a_dual)
-    if pair.variant == "symmetric":
-        imposed = abs(eps * eps_dual - pair.beta_dual * pair.beta)
-    else:
-        imposed = abs(eps_dual - pair.beta)
-    return DualityReport(
-        variance_product_scaled=product,
-        imposed_condition_residual=imposed,
-    )
+    return DualityReport(variance_product_scaled=product)

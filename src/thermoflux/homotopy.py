@@ -94,6 +94,8 @@ class PathPoint:
 
 def path_params(path: HomotopyPath, t: float) -> PathPoint:
     """Oscillator parameters (a_t, beta_t) reproducing (mean_t, variance_t)."""
+    if not math.isfinite(t):
+        raise DomainError(f"path angle must be finite, got t={t!r}")
     mean_t = path.mean_at(t)
     nv_t = path.scaled_variance_at(t)
     if not mean_t > 0:

@@ -10,22 +10,17 @@ import numpy as np
 from .errors import DomainError
 
 
-def _checked_rule(rule, n: int, mass: float):
-    """Nodes/weights of numpy's Gauss rule `rule(n)`, refused when a node is
-    not finite or the weights do not sum to the weight function's mass:
-    they overflow or underflow at large n (laggauss from n = 187)."""
-    with np.errstate(all="ignore"):  # checked below
-        x, w = rule(n)
-    if not (np.all(np.isfinite(x)) and abs(w.sum() - mass) <= 1e-9 * mass):
-        raise DomainError(f"{rule.__name__}({n}) overflows or underflows double precision")
-    return x, w
-
-
 @functools.cache
 def _unit_laguerre(n: int):
     """Gauss-Laguerre nodes/weights for exp(-t) on [0, inf), computed once
-    per n (an eigenvalue solve) and shared read-only by every variance."""
-    t, w = _checked_rule(np.polynomial.laguerre.laggauss, n, 1.0)
+    per n (an eigenvalue solve) and shared read-only by every variance.
+
+    Refused when a node is not finite or the weights do not sum to the
+    weight's mass 1: numpy's laggauss overflows from n = 187."""
+    with np.errstate(all="ignore"):  # checked below
+        t, w = np.polynomial.laguerre.laggauss(n)
+    if not (np.all(np.isfinite(t)) and abs(w.sum() - 1.0) <= 1e-9):
+        raise DomainError(f"laggauss({n}) overflows or underflows double precision")
     t.flags.writeable = False
     w.flags.writeable = False
     return t, w
@@ -57,4 +52,6 @@ def radial_rule(variance, n: int):
 def uniform_angles(n: int) -> np.ndarray:
     """Uniform angle grid on [0, pi); the rectangle rule on it is the
     periodic trapezoid rule for tomogram families."""
+    if n < 1:
+        raise DomainError(f"need at least 1 angle, got {n}")
     return np.arange(n) * (np.pi / n)

@@ -1,13 +1,13 @@
-"""Quantum-mechanical reference objects: coherent states, their Wigner
-functions, the oscillator propagator, and the Gaussian evolution law.
+"""Quantum-mechanical reference objects: Gaussian wave packets (coherent
+states), their Wigner function, the oscillator propagator, and the
+Gaussian evolution law.
 
 These supply independent oracles for the tomography layer: rotating a
 Gaussian wave packet by the propagator reproduces the same interpolation
 of centers and widths that the thermodynamic construction uses, and the
 quarter-period propagator is the h-Fourier transform.
 
-Normalization: the coherent-state and packet prefactors are chosen to give
-unit L2 norm, (lam/(2 pi hbar))^(1/4) and (lam/(pi h))^(1/4) respectively.
+Normalization: the packet prefactor (lam/(pi h))^(1/4) gives unit L2 norm.
 
 Propagation is spectral.  The eigenfunctions psi_k of H = (p^2 + x^2)/2
 with hbar = h evolve as U(t) psi_k = e^{-i(k+1/2)t} psi_k (the Mehler, or
@@ -43,47 +43,6 @@ from .errors import DomainError, QuadratureFailure
 _MAX_NODES = 2**14
 # Rows of the h-Fourier matrix built at a time.
 _FOURIER_ROWS = 64
-
-
-@dataclass(frozen=True)
-class CoherentState:
-    """Minimum-uncertainty Gaussian state centered at (q0, p0)."""
-
-    p0: float
-    q0: float
-    lam: float
-    hbar: float
-
-    def __post_init__(self):
-        if not (self.lam > 0 and self.hbar > 0):
-            raise DomainError("width parameter and hbar must be positive")
-
-    def psi(self, x):
-        x = np.asarray(x, dtype=float)
-        amp = (self.lam / (2.0 * math.pi * self.hbar)) ** 0.25
-        return amp * np.exp(
-            1j * self.p0 * x / self.hbar
-            - self.lam * (x - self.q0) ** 2 / (4.0 * self.hbar)
-        )
-
-    def wigner(self, p, q):
-        return wigner_coherent(self, p, q)
-
-
-def wigner_coherent(state: CoherentState, p, q):
-    """Wigner function of a coherent state.
-
-    W(p, q) = 2 exp(-lam (q-q0)^2/(2 hbar)) exp(-2 (p-p0)^2/(lam hbar));
-    (2 pi hbar)^(-1) * int W dp dq = 1 and the (q, p) variance product is
-    hbar^2/4.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    lam, hbar = state.lam, state.hbar
-    return 2.0 * np.exp(
-        -lam * (q - state.q0) ** 2 / (2.0 * hbar)
-        - 2.0 * (p - state.p0) ** 2 / (lam * hbar)
-    )
 
 
 @dataclass(frozen=True)
@@ -133,6 +92,22 @@ class GaussianWavePacket:
             -self.lam * (x - self.x0) ** 2 / (2.0 * self.h)
             + 1j * self.y0 * x / self.h
         )
+
+
+def wigner_coherent(packet: GaussianWavePacket, x, y):
+    """Wigner function of a Gaussian wave packet, a minimum-uncertainty
+    (coherent) state centred at (x0, y0).
+
+    W(x, y) = 2 exp(-lam (x-x0)^2/h - (y-y0)^2/(lam h));
+    (2 pi h)^(-1) * int W dx dy = 1, Var x = h/(2 lam), Var y = lam h/2,
+    and their product is h^2/4.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return 2.0 * np.exp(
+        -packet.lam * (x - packet.x0) ** 2 / packet.h
+        - (y - packet.y0) ** 2 / (packet.lam * packet.h)
+    )
 
 
 @dataclass(frozen=True)

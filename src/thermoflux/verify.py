@@ -30,7 +30,6 @@ from .cumulants import (
 from .duality import phi, solve_remark1, solve_symmetric, verify_duality
 from .homotopy import HomotopyPath, path_cumulants, path_params
 from .quantum import (
-    CoherentState,
     GaussianWavePacket,
     gaussian_evolution_params,
     h_fourier,
@@ -266,7 +265,7 @@ def suite_quantum(seed: int = 0):
 def _pauli_deviation(beta_a: float, n: float) -> float:
     """Largest deviation, as a fraction of the peak, of the quantum objects
     at hbar = h = 2/n and width lam = ManifoldPoint.lam from the thermal
-    ones at a = 1: the coherent state's Wigner function from 2 pi h times
+    ones at a = 1: the packet's Wigner function from 2 pi h times
     gaussian_limit, and |psi|^2 of the packet propagated to t = k pi/16
     from the Gaussian tomogram at that angle, for k = 0 .. 15."""
     h = 2.0 / n
@@ -274,11 +273,11 @@ def _pauli_deviation(beta_a: float, n: float) -> float:
     fl = quasi_fluctuations(alpha, n)
     x, y = make_grid(math.sqrt(fl.variance_eps), math.sqrt(fl.variance_beta), (41, 41), 6.0)
     thermal = 2.0 * math.pi * h * gaussian_limit(alpha, n, x, y).values
-    coherent = CoherentState(p0=0.0, q0=0.0, lam=2.0 * alpha.lam, hbar=h)
-    wigner = wigner_coherent(coherent, p=y[None, :], q=x[:, None])
+    packet = GaussianWavePacket(lam=alpha.lam, x0=0.0, y0=0.0, h=h)
+    wigner = wigner_coherent(packet, x[:, None], y[None, :])
     worst = float(np.abs(thermal - wigner).max() / thermal.max())
 
-    prof = to_profile(GaussianWavePacket(lam=alpha.lam, x0=0.0, y0=0.0, h=h))
+    prof = to_profile(packet)
     for tom in gaussian_tomogram_family(fl.variance_eps, fl.variance_beta, 16):
         wave = propagate(prof, tom.angle, h)
         ref = tom.density(wave.nodes)

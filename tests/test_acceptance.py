@@ -37,7 +37,6 @@ from thermoflux.quantum import (
     propagate,
     to_profile,
     wigner_coherent,
-    CoherentState,
 )
 from thermoflux.sampler import empirical_cumulants, sample_energies
 from thermoflux.tomography import (
@@ -216,21 +215,21 @@ def test_c09_quantum_reference_suite():
         out = propagate(prof, t, h)
         evo = gaussian_evolution_params(0.3, -0.2, lam, t)
         width_dev = max(width_dev, abs(out.variance() - evo.variance(h)))
-    st = CoherentState(p0=0.2, q0=-0.4, lam=1.5, hbar=0.3)
+    st = GaussianWavePacket(lam=0.75, x0=-0.4, y0=0.2, h=0.3)
     xi, w = np.polynomial.hermite.hermgauss(80)
-    q = st.q0 + xi * math.sqrt(2 * st.hbar / st.lam)
-    p = st.p0 + xi * math.sqrt(st.lam * st.hbar / 2)
-    wq = w * math.sqrt(2 * st.hbar / st.lam) * np.exp(xi**2)
-    wp = w * math.sqrt(st.lam * st.hbar / 2) * np.exp(xi**2)
-    vals = wigner_coherent(st, p[None, :], q[:, None])
-    mass = float(np.sum(wq[:, None] * wp[None, :] * vals)) / (2 * math.pi * st.hbar)
-    vq = float(np.sum(wq[:, None] * wp[None, :] * (q[:, None] - st.q0) ** 2 * vals)) / (
-        2 * math.pi * st.hbar
+    q = st.x0 + xi * math.sqrt(st.h / st.lam)
+    p = st.y0 + xi * math.sqrt(st.lam * st.h)
+    wq = w * math.sqrt(st.h / st.lam) * np.exp(xi**2)
+    wp = w * math.sqrt(st.lam * st.h) * np.exp(xi**2)
+    vals = wigner_coherent(st, q[:, None], p[None, :])
+    mass = float(np.sum(wq[:, None] * wp[None, :] * vals)) / (2 * math.pi * st.h)
+    vq = float(np.sum(wq[:, None] * wp[None, :] * (q[:, None] - st.x0) ** 2 * vals)) / (
+        2 * math.pi * st.h
     )
-    vp_ = float(np.sum(wq[:, None] * wp[None, :] * (p[None, :] - st.p0) ** 2 * vals)) / (
-        2 * math.pi * st.hbar
+    vp_ = float(np.sum(wq[:, None] * wp[None, :] * (p[None, :] - st.y0) ** 2 * vals)) / (
+        2 * math.pi * st.h
     )
-    prod_dev = abs(vq * vp_ - st.hbar**2 / 4.0)
+    prod_dev = abs(vq * vp_ - st.h**2 / 4.0)
     mass_dev = abs(mass - 1.0)
     ok = linf < 1e-8 and width_dev < 1e-6 and mass_dev < 1e-10 and prod_dev < 1e-10
     _report(9, ok, f"pi/2 vs h-Fourier Linf {linf:.2e} (<1e-8), width dev "

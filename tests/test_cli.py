@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -121,7 +122,7 @@ def _dests(sub):
 
 
 def test_flag_count():
-    assert sum(len(_dests(sub)) for sub in _subparsers().values()) == 67
+    assert sum(len(_dests(sub)) for sub in _subparsers().values()) == 66
 
 
 def test_every_flag_is_read():
@@ -598,4 +599,166 @@ def test_verify_exit_code_contract(suite, seed):
     code, out, _ = _run_redirected(["verify", "--json", "--suite", suite, f"--seed={seed}"])
     assert code in (0, 1, 2, 3)
     if code != 2:
+        _strict_json(out)
+
+
+def _value_options(sub):
+    # the options a config file may name: those that take a value
+    return [a for a in sub._actions if a.nargs is None]
+
+
+def test_every_value_option_has_a_default():
+    # only the system parameters, the config path and the output path have none
+    for name, sub in _subparsers().items():
+        for action in _value_options(sub):
+            if action.dest not in ("a", "beta", "n", "config", "output"):
+                assert action.default is not None, (name, action.dest)
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["stats"], "units=cgs\n"),
+        (["cumulants", "--fluctuation"], "order=9\n"),
+        (["dual"], "variant=symmetric\n"),
+        (["homotopy"], "num-t=4\norder=6\nt_max=1.25\nvariant=symmetric\n"),
+        (["tomogram"], "t=0.5\nn0=6\nnum_z=11\n"),
+        (["reconstruct"], "family=gaussian\nn_theta=32\nn_r=24\ngrid_points=9\n"),
+        (["sample", "--check"], "sweeps=300\nseed=11\n"),
+        (["verify"], "suite=identities\nseed=3\n"),
+    ],
+)
+def test_config_file_matches_the_same_flags(argv, config, tmp_path, capsys):
+    # the same run from a file and from flags prints the same document,
+    # config echo included, apart from the path of the file itself
+    system = "" if argv[0] == "verify" else "a=1\nbeta=2\nN=10\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(system + config)
+    flags = []
+    for line in (system + config).splitlines():
+        key, _, value = line.partition("=")
+        flags += [f"--{key.replace('_', '-')}", value]
+    code, from_file, _ = _run([*argv, "--config", str(cfg), "--json"], capsys)
+    assert code == 0
+    code, from_flags, _ = _run([*argv, *flags, "--json"], capsys)
+    assert code == 0
+    doc = _strict_json(from_file)
+    assert doc["config"].pop("config") == str(cfg)
+    assert doc == _strict_json(from_flags)
+
+
+@pytest.mark.parametrize("variant", ["remark1", "symmetric"])
+def test_flag_beats_config_even_at_its_default(variant, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    other = "symmetric" if variant == "remark1" else "remark1"
+    cfg.write_text(f"a=1\nbeta=1\nN=10\nvariant={other}\n")
+    code, out, _ = _run(["dual", "--config", str(cfg), "--variant", variant], capsys)
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["results"]["variant"] == doc["config"]["variant"] == variant
+
+
+@pytest.mark.parametrize(
+    "command, line, value",
+    [
+        ("stats", "units=si", "si"),
+        ("reconstruct", "family=bogus", "bogus"),
+        ("verify", "suite=nope", "nope"),
+        ("tomogram", "n0=4.5", "4.5"),
+        ("sample", "sweeps=", "''"),
+        ("stats", "beta=hot", "hot"),
+    ],
+)
+def test_config_value_checked_by_its_option(command, line, value, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(("" if command == "verify" else "a=1\nbeta=1\nN=10\n") + line + "\n")
+    code, out, err = _run([command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith("config error:") and value in err and out == ""
+
+
+def test_config_names_every_bad_key_and_value(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("a=1\nbeta=1\nN=10\nsweep=5\nunits=cgs\nseed=x\norder=4.5\n")
+    code, out, err = _run(["sample", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    for name in ("sweep", "units", "order", "seed", "'x'"):
+        assert name in err
+
+
+def test_missing_system_parameter_names_the_flag(capsys):
+    code, out, err = _run(["reconstruct", "--a", "1", "--beta", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err == "config error: missing required parameter --N\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tomogram", "--t", "inf"],
+        ["tomogram", "--t", "nan"],
+        ["tomogram", "--num-z", "-1"],
+        ["homotopy", "--t-max", "inf"],
+        ["reconstruct", "--n-theta", "0"],
+    ],
+)
+def test_bad_angles_and_counts_exit_2(argv, capsys):
+    code, out, err = _run(argv[:1] + ["--a", "1", "--beta", "1", "--N", "10"] + argv[1:], capsys)
+    assert code == 2
+    assert err.startswith("config error:") and out == ""
+
+
+# config values: text no option accepts and the edges of the double range;
+# an option with choices also takes every choice of every option.  A size
+# takes only -1, 0 or 1 from these
+_CONFIG_VALUES = ["", "x", "nan", "inf", "-1", "0", "1", "1e999"]
+_CHOICES = sorted(
+    {str(c) for sub in _subparsers().values() for a in _value_options(sub) for c in a.choices or ()}
+)
+# each subcommand's config at a small resolution
+_CONFIG_BASES = {
+    "stats": "", "cumulants": "", "dual": "", "homotopy": "num_t=5\n", "tomogram": "num_z=11\n",
+    "reconstruct": "n_theta=32\nn_r=8\ngrid_points=9\n", "sample": "sweeps=200\n",
+}
+
+
+@st.composite
+def _config_files(draw):
+    command = draw(st.sampled_from(sorted(_CONFIG_BASES) + ["verify"]))
+    # --output is left out: its value names a file to write
+    options = {
+        a.dest: a for a in _value_options(_subparsers()[command])
+        if a.dest not in ("config", "output")
+    }
+    pairs = []
+    for key in draw(st.lists(st.sampled_from(sorted(options) + ["not_an_option"]), max_size=3)):
+        choices = _CHOICES if key in options and options[key].choices else []
+        pairs.append((key, draw(st.sampled_from(_CONFIG_VALUES + choices))))
+    if command == "verify":
+        base = "suite=identities\n"
+    else:
+        base = "a=1\nbeta=1\nN=10\n" + _CONFIG_BASES[command]
+    # a later line for the same key overrides an earlier one
+    return command, base + "".join(f"{k}={v}\n" for k, v in pairs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_config_files())
+# an infinite angle, a negative sample count and no angles at all
+@example(case=("tomogram", "a=1\nbeta=1\nN=10\nt=inf\n"))
+@example(case=("homotopy", "a=1\nbeta=1\nN=10\nt_max=1e999\n"))
+@example(case=("tomogram", "a=1\nbeta=1\nN=10\nnum_z=-1\n"))
+@example(case=("reconstruct", "a=1\nbeta=1\nN=10\nn_theta=0\n"))
+def test_config_exit_code_contract(case):
+    # as test_exit_code_contract, with the values read from a config file
+    command, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = f"{tmp}/run.cfg"
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        code, out, err = _run_redirected([command, "--config", cfg, "--json"])
+    assert code in ((0, 1, 2, 3) if command == "verify" else (0, 2, 3))
+    if code == 2:
+        assert out == "" and err.startswith("config error:")
+    else:
         _strict_json(out)

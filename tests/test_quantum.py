@@ -6,7 +6,6 @@ import pytest
 from thermoflux.core import ManifoldPoint, OscillatorEnsemble, quasi_fluctuations
 from thermoflux.errors import DomainError, QuadratureFailure
 from thermoflux.quantum import (
-    CoherentState,
     GaussianWavePacket,
     WaveProfile,
     gaussian_evolution_params,
@@ -20,38 +19,38 @@ from thermoflux.verify import suite_quantum
 
 
 def _wigner_quad(state, f, n=80):
-    """2D Gauss-Hermite quadrature of f(p, q) * W(p, q) / (2 pi hbar)."""
-    lam, hbar = state.lam, state.hbar
+    """2D Gauss-Hermite quadrature of f(p, q) * W(q, p) / (2 pi h)."""
+    lam, h = state.lam, state.h
     xi, w = np.polynomial.hermite.hermgauss(n)
-    q = state.q0 + xi * math.sqrt(2.0 * hbar / lam)
-    p = state.p0 + xi * math.sqrt(lam * hbar / 2.0)
-    wq = w * math.sqrt(2.0 * hbar / lam) * np.exp(xi * xi)
-    wp = w * math.sqrt(lam * hbar / 2.0) * np.exp(xi * xi)
-    vals = wigner_coherent(state, p[None, :], q[:, None]) * f(p[None, :], q[:, None])
-    return float(np.real(np.sum(wq[:, None] * wp[None, :] * vals))) / (2 * math.pi * hbar)
+    q = state.x0 + xi * math.sqrt(h / lam)
+    p = state.y0 + xi * math.sqrt(lam * h)
+    wq = w * math.sqrt(h / lam) * np.exp(xi * xi)
+    wp = w * math.sqrt(lam * h) * np.exp(xi * xi)
+    vals = wigner_coherent(state, q[:, None], p[None, :]) * f(p[None, :], q[:, None])
+    return float(np.real(np.sum(wq[:, None] * wp[None, :] * vals))) / (2 * math.pi * h)
 
 
 def test_wigner_center_value():
-    st = CoherentState(p0=0.4, q0=-1.0, lam=1.7, hbar=0.3)
-    assert wigner_coherent(st, 0.4, -1.0) == 2.0
+    st = GaussianWavePacket(lam=0.85, x0=-1.0, y0=0.4, h=0.3)
+    assert wigner_coherent(st, -1.0, 0.4) == 2.0
 
 
 def test_wigner_mass_and_variances():
-    st = CoherentState(p0=0.2, q0=0.5, lam=2.0, hbar=0.25)
+    st = GaussianWavePacket(lam=1.0, x0=0.5, y0=0.2, h=0.25)
     assert _wigner_quad(st, lambda p, q: 1.0) == pytest.approx(1.0, abs=1e-10)
-    var_q = _wigner_quad(st, lambda p, q: (q - st.q0) ** 2)
-    var_p = _wigner_quad(st, lambda p, q: (p - st.p0) ** 2)
-    assert var_q == pytest.approx(st.hbar / st.lam, rel=1e-10)
-    assert var_p == pytest.approx(st.lam * st.hbar / 4.0, rel=1e-10)
-    assert var_q * var_p == pytest.approx(st.hbar**2 / 4.0, rel=1e-10)
+    var_q = _wigner_quad(st, lambda p, q: (q - st.x0) ** 2)
+    var_p = _wigner_quad(st, lambda p, q: (p - st.y0) ** 2)
+    assert var_q == pytest.approx(st.h / (2.0 * st.lam), rel=1e-10)
+    assert var_p == pytest.approx(st.lam * st.h / 2.0, rel=1e-10)
+    assert var_q * var_p == pytest.approx(st.h**2 / 4.0, rel=1e-10)
 
 
 def test_coherent_state_normalized():
-    st = CoherentState(p0=0.3, q0=0.1, lam=0.8, hbar=0.5)
+    st = GaussianWavePacket(lam=0.4, x0=0.1, y0=0.3, h=0.5)
     xi, w = np.polynomial.hermite.hermgauss(96)
-    x = st.q0 + xi * math.sqrt(2.0 * st.hbar / st.lam)
-    qw = w * math.sqrt(2.0 * st.hbar / st.lam) * np.exp(xi * xi)
-    assert np.sum(qw * np.abs(st.psi(x)) ** 2) == pytest.approx(1.0, abs=1e-12)
+    x = st.x0 + xi * math.sqrt(st.h / st.lam)
+    qw = w * math.sqrt(st.h / st.lam) * np.exp(xi * xi)
+    assert np.sum(qw * np.abs(st(x)) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_profile_refuses_a_packet_past_the_node_cap():
@@ -176,7 +175,7 @@ def test_propagate_refuses_non_unitary_result(lam, t):
 
 def test_type_guards():
     with pytest.raises(DomainError):
-        CoherentState(p0=0.0, q0=0.0, lam=-1.0, hbar=1.0)
+        GaussianWavePacket(lam=-0.5, x0=0.0, y0=0.0, h=1.0)
     with pytest.raises(DomainError):
         GaussianWavePacket(lam=1.0, x0=0.0, y0=0.0, h=0.0)
     with pytest.raises(DomainError):
@@ -193,8 +192,8 @@ def test_pauli_correspondence(beta_a, n):
     fl = quasi_fluctuations(alpha, n)
     x, y = make_grid(math.sqrt(fl.variance_eps), math.sqrt(fl.variance_beta), (41, 41), 6.0)
     thermal = 2.0 * math.pi * h * gaussian_limit(alpha, n, x, y).values
-    state = CoherentState(p0=0.0, q0=0.0, lam=2.0 * alpha.lam, hbar=h)
-    assert np.abs(thermal - state.wigner(y[None, :], x[:, None])).max() < 1e-12 * thermal.max()
+    state = GaussianWavePacket(lam=alpha.lam, x0=0.0, y0=0.0, h=h)
+    assert np.abs(thermal - wigner_coherent(state, x[:, None], y[None, :])).max() < 1e-12 * thermal.max()
 
     toms = gaussian_tomogram_family(fl.variance_eps, fl.variance_beta, 16)
     prof = to_profile(GaussianWavePacket(lam=alpha.lam, x0=0.0, y0=0.0, h=h))
