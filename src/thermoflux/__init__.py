@@ -52,7 +52,6 @@ from .tomography import (
     Tomogram,
     build_tomogram,
     gaussian_limit,
-    gaussian_tomogram,
     gaussian_tomogram_family,
     homotopy_tomograms,
     make_grid,

@@ -43,11 +43,18 @@ angles is a single complex matrix product
                              E_y[b, k] = exp(i r_k y_b sin t_k),
 
 with k running over the positive radial nodes of every angle in the
-block: O(n_r n_theta (nx + ny)) exponentials instead of
-O(n_r n_theta nx ny).  Blocks hold a fixed number of angles and are summed
-in angle order, so the result does not depend on any runtime setting.
-The block is bounded, not all angles stacked at once, so that the phase
-factors stay smaller than the n_r x (nx ny) phase array of a single angle.
+block.  The grid axes must be uniform, x_a = x_0 + a dx, so each phase
+factor is built by stepping along its axis: row 0 is exp(i x_0 u_k) and
+row a is row a-1 times exp(i dx u_k), with u_k = r_k cos t_k for E_x and
+r_k sin t_k for E_y.  That is 2 n_r n_theta exponentials per axis and one
+complex multiply per factor entry, where evaluating every entry would take
+n_r n_theta (nx + ny) exponentials.  Only the real part of the sum is
+kept, so each block is one real matrix product of the interleaved
+(re, im) columns of E_x diag(coeff) and conj(E_y).  Blocks hold a fixed
+number of angles and are summed in angle order, so the result does not
+depend on any runtime setting.  The block is bounded, not all angles
+stacked at once, so that the phase factors stay smaller than the
+n_r x (nx ny) phase array of a single angle.
 """
 
 from __future__ import annotations
@@ -116,12 +123,6 @@ class Tomogram:
         g = np.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi * self.variance)
         return g * hermeval(s, self._herm_coeffs())
 
-    def density_scaled(self, z, lam: float):
-        """T(z; lam*cos, lam*sin) = |lam|^-1 T(z/lam; cos, sin)."""
-        if lam == 0:
-            raise DomainError("scale must be nonzero")
-        return self.density(np.asarray(z) / lam) / abs(lam)
-
     def char_poly(self, k):
         """P(k) = 1 + sum_m gamma_m (i k sqrt(v))^m, the polynomial factor
         of the characteristic function chi(k) = exp(-v k^2/2) P(k)."""
@@ -132,11 +133,6 @@ class Tomogram:
             if self.gamma[m]:
                 poly = poly + self.gamma[m] * (1j * k * sv) ** m
         return poly
-
-    def char_function(self, k):
-        """chi(k) = int T(z) exp(ikz) dz, closed form Gaussian x polynomial."""
-        k = np.asarray(k, dtype=float)
-        return np.exp(-0.5 * self.variance * k * k) * self.char_poly(k)
 
     def min_density(self) -> float:
         """Smallest density value at _MIN_SCAN_POINTS = 2001 uniform points
@@ -224,12 +220,6 @@ def build_tomogram(cumulants: CumulantVector, n0: int, angle: float = 0.0) -> To
     return _family(values, n0, [angle])[0]
 
 
-def gaussian_tomogram(variance: float, angle: float = 0.0) -> Tomogram:
-    """Pure Gaussian tomogram (all corrections vanish)."""
-    kv = CumulantVector(order=2, values=np.array([0.0, variance]))
-    return build_tomogram(kv, 2, angle=angle)
-
-
 def gaussian_tomogram_family(v: float, v_dual: float, n_theta: int) -> list:
     """Gaussian family with the interpolated variances
     v_t = v cos^2 t + v' sin^2 t on the uniform angle grid."""
@@ -315,9 +305,10 @@ class QuasiDensityGrid:
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("x,y,value\n")
-            ys = self.y.tolist()
-            for xi, row in zip(self.x.tolist(), self.values):  # one text per x
-                fh.write("".join(f"{xi!r},{yj!r},{v!r}\n" for yj, v in zip(ys, row.tolist())))
+            mids = [f",{yj!r}," for yj in self.y.tolist()]  # formatted once
+            for xi, row in zip(self.x.tolist(), self.values.tolist()):  # one text per x
+                xr = repr(xi)
+                fh.write("".join([xr + mid + repr(v) + "\n" for mid, v in zip(mids, row)]))
 
     def to_json(self, path) -> None:
         header = {
@@ -352,6 +343,17 @@ def _grid(x, y, values, h: float, n0: int) -> QuasiDensityGrid:
     )
 
 
+def _phases(axis: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """exp(1j * np.multiply.outer(axis, k)) on a uniform axis, by stepping:
+    row 0 is exp(i axis[0] k) and row a is row a-1 times exp(i dx k), with
+    dx = (axis[-1] - axis[0]) / (len(axis) - 1)."""
+    dx = (axis[-1] - axis[0]) / (len(axis) - 1)
+    out = np.empty((len(axis), len(k)), dtype=complex)
+    out[0] = np.exp(1j * axis[0] * k)
+    out[1:] = np.exp(1j * dx * k)
+    return np.cumprod(out, axis=0, out=out)
+
+
 def reconstruct(
     tomograms,
     h: float,
@@ -370,10 +372,16 @@ def reconstruct(
     finite everywhere is refused (QuadratureFailure).
 
     The sum is evaluated in blocks of _BLOCK_ANGLES consecutive angles.
-    Each block contributes (E_x * coeff) @ E_y.T with the separable phase
-    factors of the module docstring, and the blocks are added in angle
-    order.  The block size is a constant: it bounds the memory of the phase
-    factors, and fixing it fixes the order of every floating-point sum.
+    Each block contributes Re((E_x * coeff) @ E_y.T) with the separable
+    phase factors of the module docstring, built by stepping along the
+    axes (2 n_r exponentials per angle and axis, one complex multiply per
+    factor entry), and the blocks are added in angle order.  The block size
+    is a constant: it bounds the memory of the phase factors, and fixing it
+    fixes the order of every floating-point sum.
+
+    Stepping is exact only on a uniform axis, such as make_grid returns: an
+    axis with a point further than 1e-14 of its span from
+    x_0 + a (x_last - x_0)/(len - 1) is refused (DomainError).
     """
     n_theta = len(tomograms)
     if n_theta < 32:
@@ -392,6 +400,13 @@ def reconstruct(
         raise DomainError(
             f"need at least 2 grid points per axis, got {len(x)} x {len(y)}"
         )
+    for name, axis in (("x", x), ("y", y)):
+        span = axis[-1] - axis[0]
+        steps = axis[0] + np.arange(len(axis)) * (span / (len(axis) - 1))
+        # written as > so that a non-finite axis passes here; its grid is
+        # not finite and is refused below
+        if np.abs(axis - steps).max() > 1e-14 * abs(span):
+            raise DomainError(f"grid axis {name} is not uniform")
 
     # one row of positive nodes r and weights w per angle; the node +r
     # carries w P(-r), where chi_t(k) = exp(-v_t k^2/2) P(k)
@@ -404,9 +419,12 @@ def reconstruct(
     total = np.zeros((len(x), len(y)))
     for lo in range(0, n_theta, _BLOCK_ANGLES):
         block = slice(lo, lo + _BLOCK_ANGLES)
-        e_x = np.exp(1j * np.multiply.outer(x, r_cos[block].ravel()))
-        e_y = np.exp(1j * np.multiply.outer(y, r_sin[block].ravel()))
-        total += ((e_x * coeff[block].ravel()) @ e_y.T).real
+        e_x = _phases(x, r_cos[block].ravel())
+        e_x *= coeff[block].ravel()
+        e_y_conj = _phases(y, -r_sin[block].ravel())
+        # Re(a b) = Re a Re conj(b) + Im a Im conj(b): one real product over
+        # the interleaved (re, im) columns
+        total += e_x.view(float) @ e_y_conj.view(float).T
     total *= 2.0 * (math.pi / n_theta) / (4.0 * math.pi**2)
     if not np.all(np.isfinite(total)):
         raise QuadratureFailure("backprojection is not finite")

@@ -16,9 +16,9 @@ from thermoflux.tomography import (
     QuasiDensityGrid,
     Tomogram,
     _hermite_moment_table,
+    _phases,
     build_tomogram,
     gaussian_limit,
-    gaussian_tomogram,
     gaussian_tomogram_family,
     homotopy_tomograms,
     make_grid,
@@ -47,7 +47,7 @@ def _centered(values):
 
 
 def test_gaussian_tomogram_is_normal_density():
-    tom = gaussian_tomogram(0.02)
+    tom = build_tomogram(_centered([0.0, 0.02]), 2)
     z = np.linspace(-0.5, 0.5, 101)
     ref = np.exp(-z * z / 0.04) / math.sqrt(2 * math.pi * 0.02)
     assert np.allclose(tom.density(z), ref, rtol=1e-14)
@@ -79,13 +79,6 @@ def test_tomogram_order8_matching():
         assert _quad_moment(tom, k, 120) == pytest.approx(tom.moments[k - 1], abs=1e-12)
 
 
-def test_tomogram_homogeneity():
-    tom = build_tomogram(_centered([0.0, 0.01, 1e-4, 2e-5]), 4)
-    z = np.linspace(-0.4, 0.4, 41)
-    assert np.allclose(tom.density_scaled(z, 2.0), tom.density(z / 2.0) / 2.0, rtol=1e-15)
-    assert np.allclose(tom.density_scaled(z, -1.0), tom.density(-z), rtol=1e-15)
-
-
 def test_char_function_vs_quadrature():
     tom = build_tomogram(_centered([0.0, 0.01, 2e-4, 1e-4]), 4)
     s, w = _gauss_hermite_prob(120)
@@ -93,7 +86,8 @@ def test_char_function_vs_quadrature():
     poly = tom.density(z) * math.sqrt(2 * math.pi * tom.variance) * np.exp(s * s / 2)
     for k in (0.0, 1.3, 7.7, -4.1):
         ft = np.sum(w * poly * np.exp(1j * k * z))
-        assert abs(ft - tom.char_function(k)) < 1e-12
+        chi = math.exp(-0.5 * tom.variance * k * k) * tom.char_poly(k)
+        assert abs(ft - chi) < 1e-12
 
 
 def test_negativity_diagnostic():
@@ -212,14 +206,16 @@ def _brute_force_reconstruct(toms, x, y, n_r):
 
 
 @pytest.mark.parametrize(
-    "family, n0",
+    "family, n0, shape",
     [
-        pytest.param("gaussian", 2, id="gaussian"),
-        pytest.param("homotopy", 4, id="homotopy"),
-        pytest.param("homotopy", 8, id="homotopy-n0-8"),
+        pytest.param("gaussian", 2, (17, 23), id="gaussian"),
+        pytest.param("homotopy", 4, (17, 23), id="homotopy"),
+        pytest.param("homotopy", 8, (17, 23), id="homotopy-n0-8"),
+        # the phase factors step along 201 and 157 points
+        pytest.param("homotopy", 4, (201, 157), id="homotopy-201x157"),
     ],
 )
-def test_reconstruct_matches_brute_force(family, n0):
+def test_reconstruct_matches_brute_force(family, n0, shape):
     # 37 angles: the last angle block is partial
     if family == "gaussian":
         toms = gaussian_tomogram_family(0.02, 0.005, 37)
@@ -227,11 +223,20 @@ def test_reconstruct_matches_brute_force(family, n0):
         path = HomotopyPath.from_dual_pair(solve_remark1(1.0, 1.0, 10.0))
         toms = homotopy_tomograms(path, 37, n0)
     x, y = make_grid(
-        math.sqrt(toms[0].variance), math.sqrt(toms[18].variance), (17, 23), 6.0
+        math.sqrt(toms[0].variance), math.sqrt(toms[18].variance), shape, 6.0
     )
     ref = _brute_force_reconstruct(toms, x, y, 40)
     grid = reconstruct(toms, 0.2, x, y, n_r=40)
     assert np.abs(grid.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_phases_match_direct_exponentials():
+    v = 0.02
+    x, _ = make_grid(math.sqrt(v), 1.0, (401, 2), 6.0)
+    r, _ = radial_rule(v, 96)
+    k = np.concatenate([r, -r])
+    direct = np.exp(1j * np.multiply.outer(x, k))
+    assert np.abs(_phases(x, k) - direct).max() <= 1e-13
 
 
 def test_reconstruct_preconditions():
@@ -246,6 +251,13 @@ def test_reconstruct_preconditions():
         reconstruct(toms, 0.02, x, y, n_r=0)
     with pytest.raises(DomainError):
         reconstruct(toms, 0.02, x[:1], y)
+    # one interior point moved by 1e-6 of the span: the axis is not uniform
+    bent_x, bent_y = x.copy(), y.copy()
+    bent_x[11] += 1e-6 * (x[-1] - x[0])
+    bent_y[11] += 1e-6 * (y[-1] - y[0])
+    for axes in ((bent_x, y), (x, bent_y)):
+        with pytest.raises(DomainError, match="not uniform"):
+            reconstruct(toms, 0.02, *axes)
     toms = toms[1:] + toms[:1]  # angles no longer increase from 0
     with pytest.raises(DomainError):
         reconstruct(toms, 0.02, x, y)
